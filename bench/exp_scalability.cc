@@ -7,7 +7,7 @@
 //      rate and notification traffic; display-lock handling is never the
 //      bottleneck and displays stay exact at every scale.
 //
-//   2. A transport fan-out sweep: 100 → 5000 concurrent wire-v2 subscriber
+//   2. A transport fan-out sweep: 100 → 5000 concurrent raw subscriber
 //      connections, each holding one display lock on a hot object, against
 //      the event-driven server (epoll reactor + worker pool). The old
 //      3-threads-per-connection transport could not be measured at this
@@ -85,7 +85,7 @@ void RunOperators() {
 
 // --- part 2: transport fan-out sweep ---------------------------------------
 
-/// Raw wire-v2 subscriber: Hello + one display lock on `hot`, then the
+/// Raw subscriber: Hello + one display lock on `hot`, then the
 /// socket just accumulates NOTIFY frames until drained.
 bool Subscribe(Socket* sock, std::mutex* write_mu, uint64_t id, Oid hot) {
   {

@@ -174,9 +174,7 @@ Result<std::vector<DatabaseObject>> DatabaseClient::RunQuery(
   PreObserve();
   auto objs = server_->ExecuteQuery(id_, query, &info);
   Charge(info);
-  if (objs.ok()) {
-    for (const DatabaseObject& obj : objs.value()) cache_.Put(obj);
-  }
+  if (objs.ok()) cache_.PutAll(objs.value());
   return objs;
 }
 
@@ -186,9 +184,7 @@ Result<std::vector<DatabaseObject>> DatabaseClient::ScanClass(
   PreObserve();
   auto objs = server_->ScanClass(id_, cls, include_subclasses, &info);
   Charge(info);
-  if (objs.ok()) {
-    for (const DatabaseObject& obj : objs.value()) cache_.Put(obj);
-  }
+  if (objs.ok()) cache_.PutAll(objs.value());
   return objs;
 }
 

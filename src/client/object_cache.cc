@@ -34,21 +34,37 @@ void ObjectCache::Put(const DatabaseObject& obj) {
   std::vector<Oid> evicted;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    size_t bytes = obj.MemoryBytes();
-    auto it = entries_.find(obj.oid());
-    if (it != entries_.end()) {
-      bytes_used_ -= it->second.bytes;
-      lru_.erase(it->second.lru_pos);
-      entries_.erase(it);
-    }
-    lru_.push_back(obj.oid());
-    entries_[obj.oid()] = Entry{obj, bytes, std::prev(lru_.end())};
-    bytes_used_ += bytes;
-    EvictIfNeededLocked(&evicted);
+    PutLocked(obj, &evicted);
   }
   if (on_evict_) {
     for (Oid oid : evicted) on_evict_(oid);
   }
+}
+
+void ObjectCache::PutAll(const std::vector<DatabaseObject>& objs) {
+  std::vector<Oid> evicted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<Oid>* report = on_evict_ ? &evicted : nullptr;
+    for (const DatabaseObject& obj : objs) PutLocked(obj, report);
+    std::erase_if(evicted, [this](Oid oid) { return entries_.count(oid); });
+  }
+  for (Oid oid : evicted) on_evict_(oid);
+}
+
+void ObjectCache::PutLocked(const DatabaseObject& obj,
+                            std::vector<Oid>* evicted) {
+  size_t bytes = obj.MemoryBytes();
+  auto it = entries_.find(obj.oid());
+  if (it != entries_.end()) {
+    bytes_used_ -= it->second.bytes;
+    lru_.erase(it->second.lru_pos);
+    entries_.erase(it);
+  }
+  lru_.push_back(obj.oid());
+  entries_[obj.oid()] = Entry{obj, bytes, std::prev(lru_.end())};
+  bytes_used_ += bytes;
+  EvictIfNeededLocked(evicted);
 }
 
 void ObjectCache::EvictIfNeededLocked(std::vector<Oid>* evicted) {
@@ -59,7 +75,7 @@ void ObjectCache::EvictIfNeededLocked(std::vector<Oid>* evicted) {
     bytes_used_ -= it->second.bytes;
     entries_.erase(it);
     evictions_.Add();
-    evicted->push_back(victim);
+    if (evicted != nullptr) evicted->push_back(victim);
   }
 }
 

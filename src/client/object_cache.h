@@ -13,6 +13,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/metrics.h"
 #include "objectmodel/object.h"
@@ -39,6 +40,12 @@ class ObjectCache : public CacheCallbackHandler {
 
   /// Inserts/overwrites a copy, evicting LRU entries over budget.
   void Put(const DatabaseObject& obj);
+  /// Puts a whole scan/query result, reporting evictions only once every
+  /// copy is in — and only for OIDs the batch did not re-cache. The server
+  /// registered every result copy before returning it, so reporting an
+  /// older copy of a later member would unregister the new copy and later
+  /// commits would skip this client.
+  void PutAll(const std::vector<DatabaseObject>& objs);
 
   /// Server callback: drop the copy (a newer version committed).
   void InvalidateCached(Oid oid, uint64_t new_version) override;
@@ -65,6 +72,8 @@ class ObjectCache : public CacheCallbackHandler {
     size_t bytes;
     std::list<Oid>::iterator lru_pos;
   };
+  /// Inserts under mu_; evicted OIDs are appended to `evicted` when non-null.
+  void PutLocked(const DatabaseObject& obj, std::vector<Oid>* evicted);
   void EvictIfNeededLocked(std::vector<Oid>* evicted);
 
   ObjectCacheOptions opts_;

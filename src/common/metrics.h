@@ -100,8 +100,8 @@ class Histogram {
   std::string Summary() const;
 
   /// Fixed bucket layout, exposed for exporters that need per-bucket counts
-  /// (Prometheus `_bucket` series) and for per-window percentile trends
-  /// computed from bucket-count deltas (obs/timeseries).
+  /// (Prometheus `_bucket` series, from which tools/prom_text.h computes
+  /// per-window percentiles out of bucket-count deltas).
   static constexpr int kNumBuckets = 128;
   /// Merged per-bucket (non-cumulative) counts; size kNumBuckets.
   std::vector<uint64_t> BucketCounts() const;

@@ -172,7 +172,6 @@ Status RemoteDatabaseClient::Hello() {
   Encoder enc(&body);
   enc.PutU64(id_);
   enc.PutU8(static_cast<uint8_t>(opts_.consistency));
-  // Announce our wire version as a trailing byte; v1 servers ignore it.
   enc.PutU8(wire::kWireVersion);
   std::vector<uint8_t> reply;
   size_t at = 0;
@@ -185,12 +184,6 @@ Status RemoteDatabaseClient::Hello() {
   SchemaCatalog snapshot;
   IDBA_RETURN_NOT_OK(SchemaCatalog::DecodeFrom(&dec, &snapshot));
   schema_ = std::move(snapshot);
-  // A v2 server appends its version after the schema; absence means v1.
-  uint8_t server_version = 1;
-  if (dec.remaining() > 0) {
-    IDBA_RETURN_NOT_OK(dec.GetU8(&server_version));
-  }
-  server_version_.store(server_version, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -208,9 +201,7 @@ Status RemoteDatabaseClient::Call(wire::Method method,
   obs::Span rpc = obs::CurrentContext().valid()
                       ? obs::Span::Start(method_name)
                       : obs::Span::StartRoot(method_name);
-  const bool send_trace =
-      rpc.active() &&
-      server_version_.load(std::memory_order_relaxed) >= wire::kWireVersion;
+  const bool send_trace = rpc.active();
 
   // Latency decomposition is always recorded (a few steady_clock reads per
   // call), independent of trace sampling.
@@ -308,8 +299,8 @@ Status RemoteDatabaseClient::Call(wire::Method method,
   const int64_t t_decoded = obs::NowUs();
 
   // Decomposition histograms: serialize / network / queue / execute /
-  // deserialize / total. Without a v2 server split, network absorbs the
-  // server-side time.
+  // deserialize / total. Without a server split (an untraced call), network
+  // absorbs the server-side time.
   const int64_t wire_us = t_response - t_serialized;
   int64_t network_us = wire_us;
   if (have_server_split) {
@@ -748,7 +739,7 @@ Result<std::vector<DatabaseObject>> RemoteDatabaseClient::ScanClass(
   Decoder dec(reply.data() + at, reply.size() - at);
   std::vector<DatabaseObject> objs;
   IDBA_RETURN_NOT_OK(wire::DecodeObjectVector(&dec, &objs));
-  for (const DatabaseObject& obj : objs) cache_.Put(obj);
+  cache_.PutAll(objs);
   return objs;
 }
 
@@ -763,7 +754,7 @@ Result<std::vector<DatabaseObject>> RemoteDatabaseClient::RunQuery(
   Decoder dec(reply.data() + at, reply.size() - at);
   std::vector<DatabaseObject> objs;
   IDBA_RETURN_NOT_OK(wire::DecodeObjectVector(&dec, &objs));
-  for (const DatabaseObject& obj : objs) cache_.Put(obj);
+  cache_.PutAll(objs);
   return objs;
 }
 

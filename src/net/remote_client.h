@@ -169,11 +169,6 @@ class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
 
   // --- Transport-level metrics ------------------------------------------
   bool connected() const { return connected_.load(); }
-  /// Wire protocol version the server announced in the Hello response
-  /// (1 = pre-trace server; trace headers are only exchanged at >= 2).
-  uint8_t server_wire_version() const {
-    return server_version_.load(std::memory_order_relaxed);
-  }
   uint64_t bytes_sent() const { return bytes_out_.Get(); }
   uint64_t bytes_received() const { return bytes_in_.Get(); }
   uint64_t notifications_received() const { return notify_frames_.Get(); }
@@ -236,7 +231,6 @@ class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
   std::thread heartbeat_;
   std::atomic<bool> connected_{false};
   std::atomic<bool> shutting_down_{false};
-  std::atomic<uint8_t> server_version_{1};
   /// Serializes Reconnect() against itself and the destructor.
   std::mutex lifecycle_mu_;
   std::shared_ptr<FaultInjector> faults_;

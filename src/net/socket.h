@@ -81,9 +81,9 @@ class Socket {
   }
 
   /// Writes one frame (header + payload) atomically with respect to other
-  /// WriteFrame calls through `write_mu`. `traced` sets the wire-v2 traced
-  /// bit (the caller must already have prefixed the payload with an encoded
-  /// TraceInfo and verified the peer negotiated v2).
+  /// WriteFrame calls through `write_mu`. `traced` sets the traced bit (the
+  /// caller must already have prefixed the payload with an encoded
+  /// TraceInfo).
   Status WriteFrame(std::mutex& write_mu, wire::FrameType type, uint64_t seq,
                     const std::vector<uint8_t>& payload,
                     MirroredCounter* bytes_out = nullptr, bool traced = false);

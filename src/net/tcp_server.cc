@@ -1,23 +1,41 @@
 #include "net/tcp_server.h"
 
 #include <signal.h>
-#include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
 #include "core/notification.h"
-#include "obs/audit.h"
+#include "net/admin.h"
 #include "obs/flight.h"
 #include "obs/health.h"
-#include "obs/profiler.h"
-#include "obs/prom_export.h"
 #include "obs/rpc_stats.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 
 namespace idba {
+
+namespace {
+
+/// WarnLimiter interval: at most one WARN line per stream per 5 s.
+constexpr int64_t kWarnLogIntervalUs = 5'000'000;
+/// Per-connection bound on queued outbound notifications. When full and
+/// the backlog will not coalesce, the slow-subscriber policy applies.
+constexpr size_t kMaxNotifyQueue = 256;
+/// kDisconnect only: overflow count after which the client is dropped.
+constexpr uint64_t kSlowSubscriberDisconnectAfter = 8;
+/// Bound on invalidation CALLBACKs queued to one client. A client that
+/// cannot drain even its callbacks is marked stale (forced resync) and the
+/// committing writers proceed without waiting.
+constexpr size_t kMaxCallbackQueue = 64;
+/// RpcStats slot of admin verb v is kAdminRpcSlotBase + v: past every wire
+/// method number, so a verb never shares a slot with a method.
+constexpr int kAdminRpcSlotBase = 32;
+static_assert(static_cast<int>(wire::Method::kDlmReregister) <
+                  kAdminRpcSlotBase,
+              "admin verb slots must start past the last method number");
+
+}  // namespace
 
 // Message::SharedWireBody reports the notify kind as a raw byte (core/
 // cannot depend on net/); pin the correspondence so the values can never
@@ -52,10 +70,6 @@ struct TransportServer::Connection
   // one-shot handoff.
   std::atomic<ClientId> client_id{0};
   std::atomic<bool> hello_done{false};
-  /// Wire protocol version the peer announced in Hello; 1 (no trace
-  /// support) until the optional version byte arrives. Trace headers are
-  /// only sent to peers >= 2.
-  std::atomic<uint8_t> peer_version{1};
 
   /// Registered on the bus under the client's endpoint id after Hello;
   /// FlushNotifies (on the loop thread) forwards its envelopes as NOTIFY
@@ -185,8 +199,7 @@ struct TransportServer::Connection
     uint64_t seq;
     {
       std::lock_guard<std::mutex> lock(cb_mu);
-      if (owner->opts_.max_callback_queue > 0 &&
-          callback_queue.size() >= owner->opts_.max_callback_queue) {
+      if (callback_queue.size() >= kMaxCallbackQueue) {
         owner->callback_overflows_.Add();
         seq = 0;
       } else {
@@ -382,16 +395,10 @@ void TransportServer::AcceptLoop() {
     auto conn = std::make_shared<Connection>(this);
     Connection* c = conn.get();
     c->loop = loops_[next_loop_.fetch_add(1) % loops_.size()].get();
-    if (opts_.so_sndbuf > 0) {
-      // Shrink the kernel send buffer so a stalled subscriber's
-      // backpressure surfaces in our bounded queues instead of hiding in
-      // kernel memory (ops/test knob).
-      int sz = opts_.so_sndbuf;
-      (void)::setsockopt(sock.value().fd(), SOL_SOCKET, SO_SNDBUF, &sz,
-                         sizeof(sz));
-    }
+    // Conn's default write watermark gates the NOTIFY lane: above it the
+    // backlog stays in the bounded notify inbox, where the overload ladder
+    // applies.
     Conn::Options copts;
-    copts.write_watermark_bytes = opts_.write_watermark_bytes;
     copts.bytes_in = &bytes_in_;
     copts.bytes_out = &bytes_out_;
     c->conn = std::make_shared<Conn>(c->loop, std::move(sock.value()), c,
@@ -435,24 +442,24 @@ void TransportServer::ScanIdle() {
   }
 }
 
+bool TransportServer::WarnLimiter::Allow(uint64_t* suppressed) {
+  const int64_t now = obs::NowUs();
+  if (now - last_us < kWarnLogIntervalUs) {
+    ++withheld;
+    return false;
+  }
+  last_us = now;
+  *suppressed = withheld;
+  withheld = 0;
+  return true;
+}
+
 void TransportServer::NoteAcceptError(const Status& st) {
-  bool log_now = true;
   uint64_t suppressed = 0;
   {
     std::lock_guard<std::mutex> lock(slow_mu_);
-    if (opts_.slow_rpc_log_interval_ms > 0) {
-      const int64_t now = obs::NowUs();
-      if (now - last_accept_log_us_ < opts_.slow_rpc_log_interval_ms * 1000) {
-        ++accept_err_suppressed_;
-        log_now = false;
-      } else {
-        last_accept_log_us_ = now;
-        suppressed = accept_err_suppressed_;
-        accept_err_suppressed_ = 0;
-      }
-    }
+    if (!accept_warns_.Allow(&suppressed)) return;
   }
-  if (!log_now) return;
   IDBA_LOG_FIELDS(LogLevel::kWarn, "transport", "accept failed",
                   {{"error", st.ToString()},
                    {"suppressed_since_last", std::to_string(suppressed)}});
@@ -659,10 +666,10 @@ bool TransportServer::ShouldShed(Connection* conn,
   const bool inflight_full =
       opts_.max_inflight > 0 && inflight_.load() >= opts_.max_inflight;
   if (!queue_full && !inflight_full) return false;
-  // Peek at the method (skipping a traced frame's TraceInfo prefix):
-  // introspection calls stay admitted — an operator must be able to see an
-  // overloaded server — and the client's clock stamp rides back in the
-  // rejection so virtual time stays monotonic at the caller.
+  // Peek at the method (skipping a traced frame's TraceInfo prefix): ADMIN
+  // stays admitted — an operator must be able to see an overloaded server
+  // — and the client's clock stamp rides back in the rejection so virtual
+  // time stays monotonic at the caller.
   Decoder dec(payload.data(), payload.size());
   wire::TraceInfo trace;
   if (header.traced) {
@@ -671,16 +678,7 @@ bool TransportServer::ShouldShed(Connection* conn,
   uint8_t method_raw = 0;
   if (!dec.GetU8(&method_raw).ok()) return true;
   (void)dec.GetI64(client_now);
-  if (method_raw == static_cast<uint8_t>(wire::Method::kStats) ||
-      method_raw == static_cast<uint8_t>(wire::Method::kTraceDump) ||
-      method_raw == static_cast<uint8_t>(wire::Method::kMetrics) ||
-      method_raw == static_cast<uint8_t>(wire::Method::kLocks) ||
-      method_raw == static_cast<uint8_t>(wire::Method::kCaches) ||
-      method_raw == static_cast<uint8_t>(wire::Method::kFlight) ||
-      method_raw == static_cast<uint8_t>(wire::Method::kProfile) ||
-      method_raw == static_cast<uint8_t>(wire::Method::kAudit)) {
-    return false;
-  }
+  if (method_raw == static_cast<uint8_t>(wire::Method::kAdmin)) return false;
   // The per-connection queue bound is a hard memory limit: a pipelining
   // client that outruns its worker is shed regardless of method. The
   // server-wide in-flight cap is load shedding: it turns away new work
@@ -701,9 +699,8 @@ void TransportServer::WriteOverloadedResponse(Connection* conn,
                                               VTime client_now) {
   // Untraced even for traced requests (the client keys its TraceInfo
   // decode off the *response* frame's traced bit): status | completion
-  // vtime | retry-after hint (varint ms). The hint is the one piece of
-  // Overloaded-specific body; v1 clients stop at the status and simply
-  // fail the call, which is still safe (Overloaded maps to a non-OK code).
+  // vtime | retry-after hint (varint ms), the one piece of
+  // Overloaded-specific body.
   std::vector<uint8_t> resp;
   Encoder enc(&resp);
   wire::EncodeStatus(
@@ -722,8 +719,7 @@ void TransportServer::WriteOverloadedResponse(Connection* conn,
 
 InboxOptions TransportServer::NotifyInboxOptions(Connection* conn) {
   InboxOptions in;
-  in.max_pending = opts_.max_notify_queue;
-  in.coalesce_watermark = opts_.notify_coalesce_watermark;
+  in.max_pending = kMaxNotifyQueue;
   // kCoalesce never escalates: full + non-coalescible drops the oldest.
   in.drop_oldest_on_full =
       opts_.slow_subscriber_policy == SlowSubscriberPolicy::kCoalesce;
@@ -741,9 +737,7 @@ InboxOptions TransportServer::NotifyInboxOptions(Connection* conn) {
   in.overflow_hook = [this, conn](uint64_t overflow_count) {
     conn->stale.store(true);
     if (opts_.slow_subscriber_policy == SlowSubscriberPolicy::kDisconnect &&
-        overflow_count >=
-            static_cast<uint64_t>(
-                std::max(opts_.slow_subscriber_disconnect_after, 1))) {
+        overflow_count >= kSlowSubscriberDisconnectAfter) {
       slow_disconnects_.Add();
       if (conn->conn) conn->conn->Kill();
     }
@@ -758,8 +752,6 @@ void TransportServer::FlushNotifies(Connection* conn) {
   if (conn->closing.load()) return;
   Conn* c = conn->conn.get();
   if (c == nullptr || c->closed()) return;
-  const uint8_t peer_version =
-      conn->peer_version.load(std::memory_order_relaxed);
 
   // Lane 1: invalidation callbacks queued by committing writers. Queued
   // here so a writer never blocks on this client's (possibly stalled)
@@ -774,8 +766,7 @@ void TransportServer::FlushNotifies(Connection* conn) {
   for (const Connection::PendingCallbackFrame& cb : cbs) {
     std::vector<uint8_t> payload;
     Encoder enc(&payload);
-    const bool traced =
-        cb.trace_id != 0 && peer_version >= wire::kWireVersion;
+    const bool traced = cb.trace_id != 0;
     if (traced) {
       wire::TraceInfo trace;
       trace.trace_id = cb.trace_id;
@@ -796,13 +787,6 @@ void TransportServer::FlushNotifies(Connection* conn) {
     conn->stale.store(true);
   }
   if (conn->stale.load() && conn->resync_awaiting_ack.load() == 0) {
-    if (peer_version < wire::kWireVersion) {
-      // A v1 peer cannot decode the RESYNC kind, so the only escalation
-      // left for a slow v1 subscriber is to drop it.
-      slow_disconnects_.Add();
-      c->Kill();
-      return;
-    }
     ResyncNotifyMessage msg;
     msg.resync_vtime = server_->cpu_clock().Now();
     msg.dropped = conn->notify_inbox.shed() - conn->shed_reported;
@@ -863,8 +847,7 @@ void TransportServer::FlushNotifies(Connection* conn) {
     // serialized once, stitched to each head by writev.
     std::vector<uint8_t> meta;
     Encoder enc(&meta);
-    const bool traced =
-        env->trace_id != 0 && peer_version >= wire::kWireVersion;
+    const bool traced = env->trace_id != 0;
     if (traced) {
       wire::TraceInfo trace;
       trace.trace_id = env->trace_id;
@@ -889,7 +872,7 @@ void TransportServer::HandleFrame(Connection* conn,
                                   int64_t enqueued_us) {
   Decoder dec(payload.data(), payload.size());
 
-  // Traced frame (wire v2): the payload opens with the client's context.
+  // Traced frame: the payload opens with the client's context.
   wire::TraceInfo req_trace;
   if (header.traced) {
     if (!wire::DecodeTraceInfo(&dec, &req_trace).ok()) {
@@ -926,22 +909,33 @@ void TransportServer::HandleFrame(Connection* conn,
   Encoder body_enc(&body);
   ServerCallInfo info;
   bool metered = false;
-  wire::Method method = wire::Method::kPing;
+  wire::Method method = static_cast<wire::Method>(method_raw);
+  // Name and RpcStats slot the call is timed under. Admin calls are named
+  // by verb (rpc.Metrics.*), in slots past every method number.
+  const char* rpc_name = nullptr;
+  int rpc_slot = method_raw;
   if (!st.ok()) {
     result = st;
-  } else if (method_raw < static_cast<uint8_t>(wire::Method::kHello) ||
-             method_raw > static_cast<uint8_t>(wire::Method::kAudit)) {
+  } else if (wire::MethodName(method) == "Unknown") {
+    // Out of range, or one of the retired numbers.
     result = Status::Corruption("unknown method " + std::to_string(method_raw));
   } else {
     requests_.Add();
-    method = static_cast<wire::Method>(method_raw);
+    rpc_name = wire::MethodName(method).data();
+    if (method == wire::Method::kAdmin && dec.remaining() > 0) {
+      const uint8_t verb = payload[dec.position()];
+      if (const char* verb_name = admin::VerbName(verb)) {
+        rpc_name = verb_name;
+        rpc_slot = kAdminRpcSlotBase + verb;
+      }
+    }
     // Traced request: join the client's trace. Untraced request: start a
     // server-local root (subject to this process's sampling), so a server
-    // run with --trace yields traces even from v1 / untraced clients.
+    // run with --trace yields traces even from untraced clients.
     obs::Span exec = rpc_ctx.valid()
                          ? obs::Span::StartChildOf(rpc_ctx, "server.execute")
                          : obs::Span::StartRoot("server.execute");
-    exec.Note(std::string(wire::MethodName(method)));
+    exec.Note(rpc_name);
     result = ExecuteMethod(conn, method, &dec, client_now,
                            static_cast<int64_t>(wire::kHeaderBytes +
                                                 payload.size()),
@@ -950,21 +944,20 @@ void TransportServer::HandleFrame(Connection* conn,
   const uint32_t exec_us = static_cast<uint32_t>(
       std::max<int64_t>(obs::NowUs() - dequeued_us, 0));
 
-  if (st.ok() && method_raw >= static_cast<uint8_t>(wire::Method::kHello) &&
-      method_raw <= static_cast<uint8_t>(wire::Method::kAudit)) {
+  if (rpc_name != nullptr) {
     // Server-side per-opcode decomposition (the client records its own
     // rpc.* series; a server scraped over --prom-port needs its own view).
-    obs::RpcPartHistograms& rh = obs::GlobalRpcStats().HandleFor(
-        method_raw, wire::MethodName(method).data());
+    obs::RpcPartHistograms& rh =
+        obs::GlobalRpcStats().HandleFor(rpc_slot, rpc_name);
     rh.queue_us->Record(static_cast<double>(queue_us));
     rh.execute_us->Record(static_cast<double>(exec_us));
     rh.total_us->Record(static_cast<double>(queue_us) + exec_us);
   }
 
-  if (opts_.slow_rpc_threshold_ms > 0 && st.ok() &&
+  if (opts_.slow_rpc_threshold_ms > 0 && rpc_name != nullptr &&
       queue_us + exec_us >
           static_cast<uint64_t>(opts_.slow_rpc_threshold_ms) * 1000) {
-    NoteSlowRpc(method, conn->client_id.load(std::memory_order_relaxed),
+    NoteSlowRpc(rpc_name, conn->client_id.load(std::memory_order_relaxed),
                 static_cast<int64_t>(queue_us) + exec_us, req_trace.trace_id);
   }
 
@@ -1021,10 +1014,7 @@ Status TransportServer::ExecuteMethod(Connection* conn, wire::Method method,
   using wire::Method;
   if (!conn->hello_done.load(std::memory_order_acquire) &&
       method != Method::kHello && method != Method::kPing &&
-      method != Method::kStats && method != Method::kTraceDump &&
-      method != Method::kMetrics && method != Method::kLocks &&
-      method != Method::kCaches && method != Method::kFlight &&
-      method != Method::kProfile && method != Method::kAudit) {
+      method != Method::kAdmin) {
     return Status::InvalidArgument("Hello handshake required before " +
                                    std::string(wire::MethodName(method)));
   }
@@ -1041,15 +1031,14 @@ Status TransportServer::ExecuteMethod(Connection* conn, wire::Method method,
     case Method::kHello: {
       uint64_t id = 0;
       uint8_t consistency = 0;
+      uint8_t version = 0;  // a body without the version byte reads as 0
       IDBA_RETURN_NOT_OK(dec->GetU64(&id));
       IDBA_RETURN_NOT_OK(dec->GetU8(&consistency));
-      // Wire v2 clients append their protocol version; v1 clients end the
-      // body here, which reads as v1 (trailing bytes were always ignored,
-      // so this is back-compatible in both directions).
-      if (dec->remaining() > 0) {
-        uint8_t version = 1;
-        IDBA_RETURN_NOT_OK(dec->GetU8(&version));
-        conn->peer_version.store(version, std::memory_order_relaxed);
+      if (dec->remaining() > 0) IDBA_RETURN_NOT_OK(dec->GetU8(&version));
+      if (version != wire::kWireVersion) {
+        return Status::InvalidArgument(
+            "client speaks wire version " + std::to_string(version) +
+            ", server speaks " + std::to_string(wire::kWireVersion));
       }
       if (conn->hello_done.load(std::memory_order_acquire)) {
         return Status::InvalidArgument("duplicate Hello");
@@ -1071,87 +1060,17 @@ Status TransportServer::ExecuteMethod(Connection* conn, wire::Method method,
       conn->hello_done.store(true, std::memory_order_release);
       server_->ConnectClient(id, conn);
       bus_->Register(static_cast<EndpointId>(id), &conn->notify_inbox);
-      {
-        std::lock_guard<std::mutex> lock(ddl_mu_);
-        server_->schema().EncodeTo(body);
-      }
-      // Announce our protocol version (trailing byte, ignored by v1).
-      body->PutU8(wire::kWireVersion);
+      std::lock_guard<std::mutex> lock(ddl_mu_);
+      server_->schema().EncodeTo(body);
       return Status::OK();
     }
     case Method::kPing:
       return Status::OK();
-    case Method::kStats: {
-      uint8_t format = 0;
-      if (dec->remaining() > 0) IDBA_RETURN_NOT_OK(dec->GetU8(&format));
-      body->PutString(format == 1 ? StatsText() : StatsJson());
+    case Method::kAdmin: {
+      std::string out;
+      IDBA_RETURN_NOT_OK(admin::Execute(*this, dec, &out));
+      body->PutString(out);
       return Status::OK();
-    }
-    case Method::kTraceDump: {
-      uint8_t format = 0, clear = 0;
-      if (dec->remaining() > 0) IDBA_RETURN_NOT_OK(dec->GetU8(&format));
-      if (dec->remaining() > 0) IDBA_RETURN_NOT_OK(dec->GetU8(&clear));
-      obs::TraceRecorder& rec = obs::GlobalRecorder();
-      body->PutString(format == 1 ? rec.DumpJsonl() : rec.DumpChromeTrace());
-      if (clear != 0) rec.Clear();
-      return Status::OK();
-    }
-    case Method::kMetrics: {
-      uint8_t format = 0;
-      if (dec->remaining() > 0) IDBA_RETURN_NOT_OK(dec->GetU8(&format));
-      if (format == 1) {
-        body->PutString(GlobalMetrics().DumpJson());
-      } else if (format == 2) {
-        body->PutString(obs::GlobalTimeSeries().DumpJson());
-      } else {
-        body->PutString(obs::PromExport(GlobalMetrics()));
-      }
-      return Status::OK();
-    }
-    case Method::kLocks: {
-      uint8_t top_k = 0;
-      if (dec->remaining() > 0) IDBA_RETURN_NOT_OK(dec->GetU8(&top_k));
-      body->PutString(LocksJson(top_k == 0 ? 10 : top_k));
-      return Status::OK();
-    }
-    case Method::kCaches: {
-      body->PutString(CachesJson());
-      return Status::OK();
-    }
-    case Method::kFlight: {
-      body->PutString(obs::FlightDumpString());
-      return Status::OK();
-    }
-    case Method::kAudit: {
-      body->PutString(obs::GlobalAuditor().ReportJson());
-      return Status::OK();
-    }
-    case Method::kProfile: {
-      uint8_t action = 0;
-      if (dec->remaining() > 0) IDBA_RETURN_NOT_OK(dec->GetU8(&action));
-      obs::Profiler& prof = obs::GlobalProfiler();
-      switch (action) {
-        case 1: {  // start
-          uint32_t hz = 0;
-          if (dec->remaining() > 0) IDBA_RETURN_NOT_OK(dec->GetU32(&hz));
-          if (hz == 0) hz = 99;
-          if (!prof.Start(static_cast<int>(hz))) {
-            return Status::InvalidArgument("profiler already running");
-          }
-          body->PutString(prof.StatusLine());
-          return Status::OK();
-        }
-        case 2:  // stop
-          prof.Stop();
-          body->PutString(prof.StatusLine());
-          return Status::OK();
-        case 3:  // dump folded stacks
-          body->PutString(prof.DumpFolded());
-          return Status::OK();
-        default:  // status
-          body->PutString(prof.StatusLine());
-          return Status::OK();
-      }
     }
     case Method::kBegin: {
       body->PutU64(server_->Begin(cid));
@@ -1341,35 +1260,23 @@ Status TransportServer::ExecuteMethod(Connection* conn, wire::Method method,
   return Status::Corruption("unhandled method");
 }
 
-void TransportServer::NoteSlowRpc(wire::Method method, ClientId client,
+void TransportServer::NoteSlowRpc(const char* method, ClientId client,
                                   int64_t duration_us, uint64_t trace_id) {
   SlowRpc slow;
-  slow.method = std::string(wire::MethodName(method));
+  slow.method = method;
   slow.client = client;
   slow.duration_us = duration_us;
   slow.trace_id = trace_id;
   // The ring records every slow RPC; the WARN line is rate limited so a
   // storm of them (the very condition that makes RPCs slow) cannot drown
   // the log. Suppressed events are summed onto the next emitted line.
-  bool log_now = true;
   uint64_t suppressed = 0;
   {
     std::lock_guard<std::mutex> lock(slow_mu_);
     slow_rpcs_.push_back(slow);
     while (slow_rpcs_.size() > kSlowRpcRing) slow_rpcs_.pop_front();
-    if (opts_.slow_rpc_log_interval_ms > 0) {
-      const int64_t now = obs::NowUs();
-      if (now - last_slow_log_us_ < opts_.slow_rpc_log_interval_ms * 1000) {
-        ++slow_suppressed_;
-        log_now = false;
-      } else {
-        last_slow_log_us_ = now;
-        suppressed = slow_suppressed_;
-        slow_suppressed_ = 0;
-      }
-    }
+    if (!slow_warns_.Allow(&suppressed)) return;
   }
-  if (!log_now) return;
   char trace_hex[24];
   std::snprintf(trace_hex, sizeof(trace_hex), "%llx",
                 static_cast<unsigned long long>(trace_id));
@@ -1386,433 +1293,24 @@ std::vector<TransportServer::SlowRpc> TransportServer::SlowRpcLog() const {
   return {slow_rpcs_.begin(), slow_rpcs_.end()};
 }
 
-namespace {
-
-struct SessionRow {
-  ClientId client;
-  uint8_t wire_version;
-  size_t notify_pending;
-  uint64_t notify_coalesced;
-  uint64_t notify_shed;
-  uint64_t notify_overflows;
-  uint64_t forced_resyncs;
-  size_t callbacks_pending;
-  bool stale;
-};
-
-void AppendSlowRpcJson(std::string& out,
-                       const std::vector<TransportServer::SlowRpc>& slow) {
-  out += "\"slow_rpcs\":[";
-  bool first = true;
-  for (const auto& s : slow) {
-    if (!first) out += ',';
-    first = false;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"method\":\"%s\",\"client\":%llu,\"duration_us\":%lld,"
-                  "\"trace_id\":\"%llx\"}",
-                  s.method.c_str(), static_cast<unsigned long long>(s.client),
-                  static_cast<long long>(s.duration_us),
-                  static_cast<unsigned long long>(s.trace_id));
-    out += buf;
-  }
-  out += ']';
-}
-
-}  // namespace
-
-std::string TransportServer::StatsJson() const {
-  std::vector<SessionRow> sessions;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& conn : conns_) {
-      if (!conn->hello_done.load(std::memory_order_acquire)) continue;
-      size_t callbacks_pending = 0;
-      {
-        std::lock_guard<std::mutex> cb_lock(conn->cb_mu);
-        callbacks_pending = conn->pending_acks.size();
-      }
-      sessions.push_back(
-          {conn->client_id.load(std::memory_order_relaxed),
-           conn->peer_version.load(std::memory_order_relaxed),
-           conn->notify_inbox.pending(), conn->notify_inbox.coalesced(),
-           conn->notify_inbox.shed(), conn->notify_inbox.overflows(),
-           conn->forced_resyncs.load(), callbacks_pending,
-           conn->stale.load() || conn->resync_awaiting_ack.load() != 0});
+std::vector<TransportServer::SessionStats> TransportServer::Sessions() const {
+  std::vector<SessionStats> sessions;
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  for (const auto& conn : conns_) {
+    if (!conn->hello_done.load(std::memory_order_acquire)) continue;
+    size_t callbacks_pending = 0;
+    {
+      std::lock_guard<std::mutex> cb_lock(conn->cb_mu);
+      callbacks_pending = conn->pending_acks.size();
     }
+    sessions.push_back(
+        {conn->client_id.load(std::memory_order_relaxed),
+         conn->notify_inbox.pending(), conn->notify_inbox.coalesced(),
+         conn->notify_inbox.shed(), conn->notify_inbox.overflows(),
+         conn->forced_resyncs.load(), callbacks_pending,
+         conn->stale.load() || conn->resync_awaiting_ack.load() != 0});
   }
-  std::string out = "{\"transport\":{";
-  out += "\"connections_accepted\":" + std::to_string(accepts_.Get());
-  out += ",\"requests_served\":" + std::to_string(requests_.Get());
-  out += ",\"notifications_forwarded\":" + std::to_string(notifies_.Get());
-  out += ",\"bytes_in\":" + std::to_string(bytes_in_.Get());
-  out += ",\"bytes_out\":" + std::to_string(bytes_out_.Get());
-  out += ",\"io_threads\":" + std::to_string(resolved_io_threads_);
-  out += ",\"worker_threads\":" + std::to_string(resolved_worker_threads_);
-  out += ",\"fanout_encodes\":" + std::to_string(fanout_encodes_.Get());
-  out += ",\"fanout_reuses\":" + std::to_string(fanout_reuses_.Get());
-  out += "},\"overload\":{";
-  out += "\"inflight\":" + std::to_string(inflight_.load());
-  out += ",\"overload_rejections\":" +
-         std::to_string(overload_rejections_.Get());
-  out += ",\"oneway_shed\":" + std::to_string(oneway_shed_.Get());
-  out += ",\"notifications_coalesced\":" +
-         std::to_string(notify_coalesced_.Get());
-  out += ",\"notifications_shed\":" + std::to_string(notify_shed_.Get());
-  out += ",\"notify_overflows\":" + std::to_string(notify_overflows_.Get());
-  out += ",\"forced_resyncs\":" + std::to_string(forced_resyncs_.Get());
-  out += ",\"slow_disconnects\":" + std::to_string(slow_disconnects_.Get());
-  out += ",\"callbacks_elided\":" + std::to_string(callbacks_elided_.Get());
-  out += ",\"callback_ack_timeouts\":" +
-         std::to_string(callback_timeouts_.Get());
-  out += ",\"callback_overflows\":" +
-         std::to_string(callback_overflows_.Get());
-  out += "},\"sessions\":[";
-  bool first = true;
-  for (const SessionRow& s : sessions) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"client\":" + std::to_string(s.client) +
-           ",\"wire_version\":" + std::to_string(s.wire_version) +
-           ",\"notify_pending\":" + std::to_string(s.notify_pending) +
-           ",\"notify_coalesced\":" + std::to_string(s.notify_coalesced) +
-           ",\"notify_shed\":" + std::to_string(s.notify_shed) +
-           ",\"notify_overflows\":" + std::to_string(s.notify_overflows) +
-           ",\"forced_resyncs\":" + std::to_string(s.forced_resyncs) +
-           ",\"callbacks_pending\":" + std::to_string(s.callbacks_pending) +
-           ",\"stale\":" + (s.stale ? std::string("true") : "false") + "}";
-  }
-  out += "],\"dlm\":{";
-  if (dlm_ != nullptr) {
-    out += "\"locked_objects\":" + std::to_string(dlm_->locked_object_count());
-    out += ",\"lock_requests\":" + std::to_string(dlm_->lock_requests());
-    out += ",\"unlock_requests\":" + std::to_string(dlm_->unlock_requests());
-    out += ",\"update_notifications\":" +
-           std::to_string(dlm_->update_notifications());
-    out += ",\"intent_notifications\":" +
-           std::to_string(dlm_->intent_notifications());
-    out += ",\"table\":[";
-    first = true;
-    for (const auto& entry : dlm_->TableSnapshot()) {
-      if (!first) out += ',';
-      first = false;
-      out += "{\"oid\":" + std::to_string(entry.oid.value) + ",\"holders\":[";
-      for (size_t i = 0; i < entry.holders.size(); ++i) {
-        if (i) out += ',';
-        out += std::to_string(entry.holders[i]);
-      }
-      out += "]}";
-    }
-    out += ']';
-  }
-  out += "},\"wal\":{";
-  {
-    Wal& wal = server_->wal();
-    out += "\"durable_lsn\":" + std::to_string(wal.durable_lsn());
-    out += ",\"next_lsn\":" + std::to_string(wal.next_lsn());
-    out += ",\"appended_bytes\":" + std::to_string(wal.appended_bytes());
-    out += ",\"fsyncs\":" + std::to_string(wal.fsyncs());
-    out += ",\"recovered_records\":" + std::to_string(wal.recovered_records());
-    out += ",\"group_commit_window_us\":" +
-           std::to_string(wal.group_commit_window_us());
-    out += ",\"truncate_below_lsn\":" +
-           std::to_string(wal.truncate_below_lsn());
-    out += ",\"bytes_since_checkpoint\":" +
-           std::to_string(wal.bytes_since_truncate());
-    out += ",\"checksum_failures\":" +
-           std::to_string(
-               GlobalMetrics()
-                   .GetCounter("storage.page.checksum_failures_total")
-                   ->Get());
-    if (checkpointer_ != nullptr) {
-      Checkpointer::Stats cs = checkpointer_->stats();
-      out += ",\"checkpoints\":" + std::to_string(cs.checkpoints);
-      out += ",\"checkpoint_failures\":" + std::to_string(cs.failures);
-      out += ",\"last_checkpoint_lsn\":" + std::to_string(cs.last_fence_lsn);
-      out += ",\"last_checkpoint_age_us\":" +
-             std::to_string(cs.last_checkpoint_us > 0
-                                ? obs::NowUs() - cs.last_checkpoint_us
-                                : -1);
-      out += ",\"last_checkpoint_pages\":" +
-             std::to_string(cs.last_pages_written);
-      out += ",\"last_checkpoint_bytes_truncated\":" +
-             std::to_string(cs.last_bytes_truncated);
-    }
-  }
-  out += "},";
-  AppendSlowRpcJson(out, SlowRpcLog());
-  out += ",\"trace\":{\"retained_spans\":" +
-         std::to_string(obs::GlobalRecorder().Snapshot().size()) +
-         ",\"dropped_spans\":" + std::to_string(obs::GlobalRecorder().dropped()) +
-         "},";
-  out += "\"metrics\":" + GlobalMetrics().DumpJson();
-  out += '}';
-  return out;
-}
-
-std::string TransportServer::StatsText() const {
-  std::string out = "== transport ==\n";
-  out += "connections_accepted     " + std::to_string(accepts_.Get()) + "\n";
-  out += "requests_served          " + std::to_string(requests_.Get()) + "\n";
-  out += "notifications_forwarded  " + std::to_string(notifies_.Get()) + "\n";
-  out += "bytes_in                 " + std::to_string(bytes_in_.Get()) + "\n";
-  out += "bytes_out                " + std::to_string(bytes_out_.Get()) + "\n";
-  out += "\n== threading ==\n";
-  out += "io_threads               " + std::to_string(resolved_io_threads_) +
-         "\n";
-  out += "worker_threads           " +
-         std::to_string(resolved_worker_threads_) + "\n";
-  out += "fanout_encodes           " + std::to_string(fanout_encodes_.Get()) +
-         "\n";
-  out += "fanout_reuses            " + std::to_string(fanout_reuses_.Get()) +
-         "\n";
-  out += "\n== overload ==\n";
-  out += "inflight                 " + std::to_string(inflight_.load()) + "\n";
-  out += "overload_rejections      " +
-         std::to_string(overload_rejections_.Get()) + "\n";
-  out += "oneway_shed              " + std::to_string(oneway_shed_.Get()) +
-         "\n";
-  out += "notifications_coalesced  " +
-         std::to_string(notify_coalesced_.Get()) + "\n";
-  out += "notifications_shed       " + std::to_string(notify_shed_.Get()) +
-         "\n";
-  out += "notify_overflows         " +
-         std::to_string(notify_overflows_.Get()) + "\n";
-  out += "forced_resyncs           " + std::to_string(forced_resyncs_.Get()) +
-         "\n";
-  out += "slow_disconnects         " +
-         std::to_string(slow_disconnects_.Get()) + "\n";
-  out += "callbacks_elided         " +
-         std::to_string(callbacks_elided_.Get()) + "\n";
-  out += "callback_ack_timeouts    " +
-         std::to_string(callback_timeouts_.Get()) + "\n";
-  out += "callback_overflows       " +
-         std::to_string(callback_overflows_.Get()) + "\n";
-  out += "\n== wal ==\n";
-  {
-    Wal& wal = server_->wal();
-    out += "durable_lsn              " + std::to_string(wal.durable_lsn()) +
-           "\n";
-    out += "next_lsn                 " + std::to_string(wal.next_lsn()) + "\n";
-    out += "appended_bytes           " + std::to_string(wal.appended_bytes()) +
-           "\n";
-    out += "fsyncs                   " + std::to_string(wal.fsyncs()) + "\n";
-    out += "recovered_records        " +
-           std::to_string(wal.recovered_records()) + "\n";
-    out += "group_commit_window_us   " +
-           std::to_string(wal.group_commit_window_us()) + "\n";
-    out += "truncate_below_lsn       " +
-           std::to_string(wal.truncate_below_lsn()) + "\n";
-    out += "bytes_since_checkpoint   " +
-           std::to_string(wal.bytes_since_truncate()) + "\n";
-    out += "checksum_failures        " +
-           std::to_string(
-               GlobalMetrics()
-                   .GetCounter("storage.page.checksum_failures_total")
-                   ->Get()) +
-           "\n";
-    if (checkpointer_ != nullptr) {
-      Checkpointer::Stats cs = checkpointer_->stats();
-      out += "checkpoints              " + std::to_string(cs.checkpoints) +
-             (cs.failures > 0
-                  ? "  (" + std::to_string(cs.failures) + " FAILED)"
-                  : "") +
-             "\n";
-      out += "last_checkpoint_lsn      " +
-             std::to_string(cs.last_fence_lsn) + "\n";
-      out += "last_checkpoint_age_ms   " +
-             (cs.last_checkpoint_us > 0
-                  ? std::to_string((obs::NowUs() - cs.last_checkpoint_us) /
-                                   1000)
-                  : std::string("never")) +
-             "\n";
-      out += "last_checkpoint_pages    " +
-             std::to_string(cs.last_pages_written) + "\n";
-    }
-  }
-  out += "\n== sessions ==\n";
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& conn : conns_) {
-      if (!conn->hello_done.load(std::memory_order_acquire)) continue;
-      out += "client " +
-             std::to_string(conn->client_id.load(std::memory_order_relaxed)) +
-             "  wire_version " +
-             std::to_string(conn->peer_version.load(std::memory_order_relaxed)) +
-             "  notify_pending " +
-             std::to_string(conn->notify_inbox.pending()) +
-             "  forced_resyncs " +
-             std::to_string(conn->forced_resyncs.load()) +
-             (conn->stale.load() || conn->resync_awaiting_ack.load() != 0
-                  ? "  STALE"
-                  : "") +
-             "\n";
-    }
-  }
-  if (dlm_ != nullptr) {
-    out += "\n== display locks ==\n";
-    out += "locked_objects " + std::to_string(dlm_->locked_object_count()) +
-           "  lock_requests " + std::to_string(dlm_->lock_requests()) +
-           "  update_notifications " +
-           std::to_string(dlm_->update_notifications()) + "\n";
-    for (const auto& entry : dlm_->TableSnapshot()) {
-      out += "oid " + std::to_string(entry.oid.value) + " <-";
-      for (ClientId holder : entry.holders) {
-        out += ' ' + std::to_string(holder);
-      }
-      out += '\n';
-    }
-  }
-  out += "\n== slow rpcs (threshold " +
-         std::to_string(opts_.slow_rpc_threshold_ms) + " ms) ==\n";
-  for (const SlowRpc& s : SlowRpcLog()) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%-16s client=%llu duration_us=%lld trace=%llx\n",
-                  s.method.c_str(), static_cast<unsigned long long>(s.client),
-                  static_cast<long long>(s.duration_us),
-                  static_cast<unsigned long long>(s.trace_id));
-    out += buf;
-  }
-  out += "\n== trace ==\n";
-  out += "retained_spans " +
-         std::to_string(obs::GlobalRecorder().Snapshot().size()) +
-         "  dropped_spans " + std::to_string(obs::GlobalRecorder().dropped()) +
-         "\n";
-  out += "\n== metrics ==\n";
-  out += GlobalMetrics().Dump();
-  return out;
-}
-
-std::string TransportServer::LocksJson(size_t top_k) const {
-  const LockManager::TableDump dump =
-      server_->lock_manager().DumpTable(top_k);
-  std::string out = "{\"lock_table\":[";
-  bool first = true;
-  for (const auto& e : dump.entries) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"oid\":" + std::to_string(e.oid.value) + ",\"granted\":[";
-    for (size_t i = 0; i < e.granted.size(); ++i) {
-      if (i) out += ',';
-      out += "{\"owner\":" + std::to_string(e.granted[i].owner) +
-             ",\"mode\":\"" + std::string(LockModeName(e.granted[i].mode)) +
-             "\"}";
-    }
-    out += "],\"waiting\":[";
-    for (size_t i = 0; i < e.waiting.size(); ++i) {
-      if (i) out += ',';
-      out += "{\"owner\":" + std::to_string(e.waiting[i].owner) +
-             ",\"mode\":\"" + std::string(LockModeName(e.waiting[i].mode)) +
-             "\",\"upgrade\":" + (e.waiting[i].is_upgrade ? "true" : "false") +
-             ",\"waited_us\":" + std::to_string(e.waiting[i].waited_us) + "}";
-    }
-    out += "]}";
-  }
-  out += "],\"wait_edges\":[";
-  first = true;
-  for (const auto& edge : dump.wait_edges) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"waiter\":" + std::to_string(edge.waiter) +
-           ",\"holder\":" + std::to_string(edge.holder) +
-           ",\"oid\":" + std::to_string(edge.oid.value) + "}";
-  }
-  out += "],\"top_contended\":[";
-  first = true;
-  for (const auto& hot : dump.top_contended) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"oid\":" + std::to_string(hot.oid.value) +
-           ",\"cumulative_wait_us\":" + std::to_string(hot.cumulative_wait_us) +
-           ",\"waits\":" + std::to_string(hot.waits) + "}";
-  }
-  out += "],\"counters\":{";
-  const LockManager& lm = server_->lock_manager();
-  out += "\"grants\":" + std::to_string(lm.grants());
-  out += ",\"waits\":" + std::to_string(lm.waits());
-  out += ",\"deadlocks\":" + std::to_string(lm.deadlocks());
-  out += ",\"timeouts\":" + std::to_string(lm.timeouts());
-  out += "},\"display_locks\":[";
-  first = true;
-  if (dlm_ != nullptr) {
-    for (const auto& entry : dlm_->TableSnapshot()) {
-      if (!first) out += ',';
-      first = false;
-      out += "{\"oid\":" + std::to_string(entry.oid.value) + ",\"holders\":[";
-      for (size_t i = 0; i < entry.holders.size(); ++i) {
-        if (i) out += ',';
-        out += std::to_string(entry.holders[i]);
-      }
-      out += "]}";
-    }
-  }
-  out += "]}";
-  return out;
-}
-
-std::string TransportServer::CachesJson() const {
-  char buf[64];
-  // Page level: the server's own buffer pool.
-  const BufferPool& pool = server_->buffer_pool();
-  const BufferPool::PoolStats ps = pool.Stats();
-  std::string out = "{\"page\":{";
-  out += "\"frame_count\":" + std::to_string(ps.frame_count);
-  out += ",\"resident\":" + std::to_string(ps.resident);
-  out += ",\"dirty\":" + std::to_string(ps.dirty);
-  out += ",\"pinned\":" + std::to_string(ps.pinned);
-  std::snprintf(buf, sizeof(buf), ",\"dirty_ratio\":%.4f",
-                ps.resident > 0 ? double(ps.dirty) / double(ps.resident) : 0.0);
-  out += buf;
-  out += ",\"hits\":" + std::to_string(pool.hits());
-  out += ",\"misses\":" + std::to_string(pool.misses());
-  out += ",\"evictions\":" + std::to_string(pool.evictions());
-  const uint64_t page_total = pool.hits() + pool.misses();
-  std::snprintf(buf, sizeof(buf), ",\"hit_rate\":%.4f",
-                page_total > 0 ? double(pool.hits()) / double(page_total) : 0.0);
-  out += buf;
-  // Object level: the server cannot see inside remote caches, but its
-  // callback registry is the authoritative map of who holds what.
-  out += "},\"object\":{\"copies_by_client\":{";
-  bool first = true;
-  for (const auto& [client, count] :
-       server_->callback_manager().CopyCountsByClient()) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + std::to_string(client) + "\":" + std::to_string(count);
-  }
-  out += "},\"callbacks_issued\":" +
-         std::to_string(server_->callback_manager().callbacks_issued());
-  // Display level: per-client pinned-view subscriptions via D locks.
-  out += "},\"display\":{\"subscriptions_by_client\":{";
-  first = true;
-  if (dlm_ != nullptr) {
-    for (const auto& [client, count] : dlm_->HolderCounts()) {
-      if (!first) out += ',';
-      first = false;
-      out += '"' + std::to_string(client) + "\":" + std::to_string(count);
-    }
-  }
-  out += "},\"locked_objects\":" +
-         std::to_string(dlm_ != nullptr ? dlm_->locked_object_count() : 0);
-  // Registry aggregates: every cache.* series (counters and gauges), which
-  // also covers in-process clients' object/display caches.
-  out += "},\"registry\":{";
-  first = true;
-  for (const auto& [name, value] : GlobalMetrics().CounterSnapshot()) {
-    if (name.rfind("cache.", 0) != 0) continue;
-    if (!first) out += ',';
-    first = false;
-    out += '"' + name + "\":" + std::to_string(value);
-  }
-  for (const auto& [name, value] : GlobalMetrics().GaugeSnapshot()) {
-    if (name.rfind("cache.", 0) != 0) continue;
-    if (!first) out += ',';
-    first = false;
-    std::snprintf(buf, sizeof(buf), "%.3f", value);
-    out += '"' + name + "\":" + buf;
-  }
-  out += "}}";
-  return out;
+  return sessions;
 }
 
 }  // namespace idba

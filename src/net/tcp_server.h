@@ -73,8 +73,8 @@ enum class SlowSubscriberPolicy {
   /// notification; the client refetches displayed state (degraded but
   /// eventually consistent, memory strictly bounded).
   kResync,
-  /// Like kResync, but a client that forces more than
-  /// `slow_subscriber_disconnect_after` overflows is disconnected.
+  /// Like kResync, but a client that forces more than 8 overflows is
+  /// disconnected.
   kDisconnect,
 };
 
@@ -93,14 +93,10 @@ struct TransportServerOptions {
   /// clients get cut.
   int64_t idle_timeout_ms = 0;
   /// A request whose queue-wait + execution exceeds this logs one WARN line
-  /// (method, duration, client, trace id) and lands in the slow-RPC ring
-  /// reported by STATS/idba_stat. 0 disables.
+  /// (method, duration, client, trace id; at most one line per 5 s, with a
+  /// suppressed-count carried on the next one) and lands in the slow-RPC
+  /// ring reported by STATS/idba_stat. 0 disables.
   int64_t slow_rpc_threshold_ms = 250;
-  /// Rate limit on those WARN lines: at most one per this interval, with a
-  /// suppressed-count carried on the next emitted line. The slow-RPC ring
-  /// still records every event. Accept-error WARNs share the limiter
-  /// policy. 0 = log every event (old behaviour).
-  int64_t slow_rpc_log_interval_ms = 5000;
 
   // --- Threading (DESIGN.md §11) ----------------------------------------
   /// I/O event loops (epoll reactors). Each owns a share of the accepted
@@ -110,11 +106,6 @@ struct TransportServerOptions {
   /// (workers block on callback acks, so a few spares keep commits moving
   /// on small machines).
   int worker_threads = 0;
-  /// Per-connection outbound write-queue watermark: while more than this
-  /// many bytes are queued for a socket, its NOTIFY lane stops refilling
-  /// and the backlog accumulates in the *bounded* notify inbox where the
-  /// overload ladder applies. Responses and callbacks always enqueue.
-  size_t write_watermark_bytes = 256 * 1024;
 
   // --- Overload protection (DESIGN.md §9) -------------------------------
   /// Per-connection bound on requests queued for the worker pool; further
@@ -129,26 +120,9 @@ struct TransportServerOptions {
   size_t max_inflight = 1024;
   /// Retry-after hint carried in Overloaded responses.
   int64_t overload_retry_after_ms = 50;
-  /// Per-connection bound on queued outbound notifications. When full and
-  /// the backlog will not coalesce, the slow-subscriber policy applies.
-  /// 0 = unbounded.
-  size_t max_notify_queue = 256;
-  /// Start coalescing queued notifications at this depth rather than only
-  /// when the queue is full (0 = only when full).
-  size_t notify_coalesce_watermark = 0;
-  /// Escalation ladder for subscribers that overflow their notify queue.
+  /// Escalation ladder for subscribers that overflow their bounded notify
+  /// queue (256 notifications per connection).
   SlowSubscriberPolicy slow_subscriber_policy = SlowSubscriberPolicy::kResync;
-  /// kDisconnect only: overflow count after which the client is dropped.
-  int slow_subscriber_disconnect_after = 8;
-  /// Bound on invalidation CALLBACKs queued to one client. A client that
-  /// cannot drain even its callbacks is marked stale (forced resync) and
-  /// the committing writers proceed without waiting. 0 = unbounded.
-  size_t max_callback_queue = 64;
-  /// When > 0, shrink each accepted connection's SO_SNDBUF to this many
-  /// bytes — ops/test knob that makes a stalled subscriber's backpressure
-  /// reach the server-side queues quickly instead of hiding in kernel
-  /// buffers.
-  int so_sndbuf = 0;
 };
 
 /// Hosts one deployment (server + DLM + bus + meter) behind a socket.
@@ -166,6 +140,11 @@ class TransportServer {
   /// checkpoint progress (last fence LSN, age, pages swept). Optional;
   /// call before Start().
   void set_checkpointer(Checkpointer* cp) { checkpointer_ = cp; }
+
+  /// The hosted components, read by the admin documents (net/admin.h).
+  DatabaseServer* server() const { return server_; }
+  DisplayLockManager* dlm() const { return dlm_; }
+  Checkpointer* checkpointer() const { return checkpointer_; }
 
   /// Binds, listens and starts the I/O loops, worker pool, and acceptor.
   Status Start();
@@ -204,18 +183,34 @@ class TransportServer {
   /// Notifications dropped for slow subscribers (overflow shed +
   /// drop-oldest under kCoalesce policy).
   uint64_t notifications_shed() const { return notify_shed_.Get(); }
+  /// Notify-queue overflows (each one forces a resync).
+  uint64_t notify_overflows() const { return notify_overflows_.Get(); }
   /// RESYNC notifications sent to clients whose backlog was shed.
   uint64_t forced_resyncs() const { return forced_resyncs_.Get(); }
-  /// Connections dropped by the kDisconnect escalation (or v1 peers that
-  /// cannot be resynced).
+  /// Connections dropped by the kDisconnect escalation.
   uint64_t slow_disconnects() const { return slow_disconnects_.Get(); }
   /// Invalidation CALLBACKs skipped because the client was already marked
   /// stale (a pending resync clears its whole cache anyway).
   uint64_t callbacks_elided() const { return callbacks_elided_.Get(); }
   /// Callback-ack waits that expired; each marks the client stale.
   uint64_t callback_ack_timeouts() const { return callback_timeouts_.Get(); }
+  /// Callbacks not queued because the client's callback lane was full.
+  uint64_t callback_overflows() const { return callback_overflows_.Get(); }
 
-  // --- Introspection (STATS admin RPC, idba_stat, --metrics-interval) ---
+  // --- Introspection (STATS admin verb, idba_stat, --metrics-interval) ---
+  /// One session (a connection past Hello) as STATS reports it.
+  struct SessionStats {
+    ClientId client = 0;
+    size_t notify_pending = 0;
+    uint64_t notify_coalesced = 0;
+    uint64_t notify_shed = 0;
+    uint64_t notify_overflows = 0;
+    uint64_t forced_resyncs = 0;
+    size_t callbacks_pending = 0;  ///< invalidations awaiting the client's ack
+    bool stale = false;            ///< owes or awaits a forced resync
+  };
+  std::vector<SessionStats> Sessions() const;
+
   /// One slow request, retained in a bounded ring (most recent last).
   struct SlowRpc {
     std::string method;
@@ -224,23 +219,6 @@ class TransportServer {
     uint64_t trace_id = 0;    ///< 0 when the request was untraced
   };
   std::vector<SlowRpc> SlowRpcLog() const;
-
-  /// Full server state as one JSON object: transport counters, active
-  /// sessions, DLM lock table, slow RPCs, and every GlobalMetrics metric.
-  std::string StatsJson() const;
-  /// The same, pre-formatted for humans (idba_stat prints this verbatim,
-  /// so the CLI needs no JSON parser).
-  std::string StatsText() const;
-
-  /// Deep lock introspection for the LOCKS admin RPC: the server lock
-  /// manager's table (holders, waiters, wait-for edges, top-K contended
-  /// OIDs) plus the DLM display-lock table, as one JSON object.
-  std::string LocksJson(size_t top_k = 10) const;
-  /// Cache-hierarchy introspection for the CACHES admin RPC: buffer-pool
-  /// occupancy and dirty ratio, per-client registered-copy counts (the
-  /// server's view of the object-cache level), per-client display
-  /// subscriptions, and the canonical cache.* registry aggregates.
-  std::string CachesJson() const;
 
  private:
   struct Connection;
@@ -270,7 +248,7 @@ class TransportServer {
   /// is older than idle_timeout_ms.
   void ScanIdle();
   /// Rate-limited WARN for accept failures (same limiter policy as slow
-  /// RPCs: at most one line per interval, suppressed count carried over).
+  /// RPCs: at most one line per 5 s, suppressed count carried over).
   void NoteAcceptError(const Status& st);
 
   void HandleFrame(Connection* conn, const wire::FrameHeader& header,
@@ -279,8 +257,8 @@ class TransportServer {
   /// watermarks, escalation hook, metric mirrors).
   InboxOptions NotifyInboxOptions(Connection* conn);
   /// Admission control: true when `header`'s request must be shed instead
-  /// of queued (queue bound or in-flight cap hit, and the method is not an
-  /// exempt introspection call).
+  /// of queued (queue bound or in-flight cap hit, and the method is not
+  /// ADMIN).
   bool ShouldShed(Connection* conn, const wire::FrameHeader& header,
                   const std::vector<uint8_t>& payload, VTime* client_now);
   /// Queues the Overloaded RESPONSE (status + retry-after hint) directly
@@ -291,7 +269,7 @@ class TransportServer {
   Status ExecuteMethod(Connection* conn, wire::Method method, Decoder* dec,
                        VTime client_now, int64_t request_bytes,
                        ServerCallInfo* info, Encoder* body, bool* metered);
-  void NoteSlowRpc(wire::Method method, ClientId client, int64_t duration_us,
+  void NoteSlowRpc(const char* method, ClientId client, int64_t duration_us,
                    uint64_t trace_id);
 
   DatabaseServer* server_;
@@ -335,12 +313,19 @@ class TransportServer {
   /// Enqueue-to-run latency of worker dispatches (worker.dispatch_lag_us).
   Histogram* dispatch_lag_ = nullptr;
 
+  /// One rate-limited WARN stream: at most one line per 5 s, and the next
+  /// emitted line carries the count withheld in between.
+  struct WarnLimiter {
+    int64_t last_us = 0;
+    uint64_t withheld = 0;
+    /// True when a line may be logged now; `*suppressed` receives the
+    /// count withheld since the previous one.
+    bool Allow(uint64_t* suppressed);
+  };
+
   mutable std::mutex slow_mu_;
   std::deque<SlowRpc> slow_rpcs_;  ///< bounded to kSlowRpcRing
-  int64_t last_slow_log_us_ = 0;   ///< guarded by slow_mu_
-  uint64_t slow_suppressed_ = 0;   ///< WARNs withheld since the last one
-  int64_t last_accept_log_us_ = 0;     ///< guarded by slow_mu_
-  uint64_t accept_err_suppressed_ = 0; ///< guarded by slow_mu_
+  WarnLimiter slow_warns_, accept_warns_;  ///< guarded by slow_mu_
 
   // Declared last: unregisters before the state its callback reads.
   ScopedGauge inflight_gauge_;

@@ -28,15 +28,8 @@ std::string_view MethodName(Method m) {
     case Method::kDlmLockBatch: return "DlmLockBatch";
     case Method::kDlmUnlockBatch: return "DlmUnlockBatch";
     case Method::kPing: return "Ping";
-    case Method::kStats: return "Stats";
-    case Method::kTraceDump: return "TraceDump";
-    case Method::kMetrics: return "Metrics";
-    case Method::kLocks: return "Locks";
-    case Method::kCaches: return "Caches";
-    case Method::kFlight: return "Flight";
-    case Method::kProfile: return "Profile";
+    case Method::kAdmin: return "Admin";
     case Method::kDlmReregister: return "DlmReregister";
-    case Method::kAudit: return "Audit";
   }
   return "Unknown";
 }
@@ -97,10 +90,6 @@ Status DecodeStatus(Decoder* dec, Status* out) {
   std::string message;
   IDBA_RETURN_NOT_OK(dec->GetU8(&code));
   IDBA_RETURN_NOT_OK(dec->GetString(&message));
-  // Accept every code this build knows, including kOverloaded (added in
-  // wire-era v2 servers). An *older* peer decoding an Overloaded response
-  // rejects just that call as Corruption — the connection survives, so the
-  // new code degrades per-call rather than per-session on v1 clients.
   if (code > static_cast<uint8_t>(StatusCode::kOverloaded)) {
     return Status::Corruption("unknown status code " + std::to_string(code));
   }

@@ -25,6 +25,11 @@
 // the same seq before the triggering commit completes, reproducing
 // callback-locking's invalidate-before-commit guarantee over real sockets.
 //
+// A session opens with Hello, whose body ends with the client's
+// kWireVersion; the server refuses any other revision. Operator calls
+// (stats, metrics, traces, locks, caches, flight, profile, audit) share one
+// ADMIN method whose body starts with a verb byte (net/admin.h).
+//
 // All integers little-endian via Encoder/Decoder (common/codec.h); the
 // Decoder is hardened against truncated/malformed payloads, so a corrupt or
 // hostile peer produces Status::Corruption and a dropped connection, never
@@ -53,18 +58,13 @@ constexpr size_t kHeaderBytes = 13;
 /// (or hostile) and gets disconnected.
 constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 
-/// Protocol revision this build speaks. Negotiated in Hello: each side
-/// appends its version as a trailing byte to the Hello request/response
-/// body; v1 peers neither send nor read it (their decoders ignore trailing
-/// bytes), so absence means v1. v2 adds the traced-frame bit and the
-/// TraceInfo payload prefix below, plus the kStats/kTraceDump admin
-/// methods. Traced frames are only sent to peers that negotiated >= 2.
-constexpr uint8_t kWireVersion = 2;
+/// Protocol revision this build speaks. A client sends it as the last byte
+/// of its Hello body; the server refuses a Hello that carries any other
+/// value (or none), so both ends of a session always speak this revision.
+constexpr uint8_t kWireVersion = 3;
 
 /// High bit of the frame-type byte: when set, the payload begins with an
 /// encoded TraceInfo (trace header). The low 7 bits are the FrameType.
-/// v1 decoders reject the bit as an unknown frame type, which is why it is
-/// only set after v2 negotiation.
 constexpr uint8_t kTracedBit = 0x80;
 
 enum class FrameType : uint8_t {
@@ -76,8 +76,7 @@ enum class FrameType : uint8_t {
   kOneWay = 6,
   /// Client -> server: "I processed the RESYNC notification with this seq
   /// and cleared my cache" — the server keeps eliding the client's
-  /// invalidation callbacks until this arrives (wire v2+ only; v1 peers
-  /// never receive RESYNCs).
+  /// invalidation callbacks until this arrives.
   kResyncAck = 7,
 };
 
@@ -106,26 +105,14 @@ enum class Method : uint8_t {
   kDlmLockBatch = 21,
   kDlmUnlockBatch = 22,
   kPing = 23,
-  // Admin/introspection (wire v2). Like kPing, callable before Hello.
-  kStats = 24,      ///< body: u8 format (0=json, 1=text); response: string
-  kTraceDump = 25,  ///< body: u8 format (0=chrome, 1=jsonl), u8 clear; response: string
-  // Observability (still wire v2: method additions are append-only and a
-  // v1/v2 peer that never sends them never sees them).
-  kMetrics = 26,  ///< body: u8 format (0=prometheus text, 1=registry json,
-                  ///< 2=timeseries json); response: string
-  kLocks = 27,    ///< body: u8 top_k (0 = default 10); response: json string
-  kCaches = 28,   ///< body: empty; response: json string
-  // Runtime health (PR-8, still append-only wire v2).
-  kFlight = 29,   ///< body: empty; response: flight-recorder dump string
-  kProfile = 30,  ///< body: u8 action (0=status, 1=start + u32 hz, 2=stop,
-                  ///< 3=dump folded stacks); response: string
-  // Session recovery (PR-9, append-only wire v2).
+  /// Operator introspection: body is a u8 admin::Verb followed by that
+  /// verb's arguments (net/admin.h); response: string. Like kPing it is
+  /// callable before Hello, and admission control never sheds it.
+  kAdmin = 24,
+  // 25-30 and 32 are retired; the server answers them as unknown methods.
   kDlmReregister = 31,  ///< body: i64 sent_at, u64 holder, oid vector —
                         ///< idempotent bulk replay of held display locks
                         ///< after a reconnect to a restarted server
-  // Consistency auditing (PR-10, append-only wire v2). Pre-Hello callable
-  // and shed-exempt like kMetrics.
-  kAudit = 32,  ///< body: empty; response: auditor report json string
 };
 
 std::string_view MethodName(Method m);
@@ -136,9 +123,7 @@ enum class NotifyKind : uint8_t {
   kIntent = 2,
   /// Server -> client: notifications for this client were shed under
   /// overload; the client must treat its whole view state as stale and
-  /// refetch (ResyncNotifyMessage body). v1 peers reject the kind and drop
-  /// the frame, which is why slow v1 subscribers are escalated straight to
-  /// disconnect instead.
+  /// refetch (ResyncNotifyMessage body).
   kResync = 3,
 };
 
@@ -146,7 +131,7 @@ struct FrameHeader {
   uint32_t payload_len = 0;
   FrameType type = FrameType::kRequest;
   uint64_t seq = 0;
-  bool traced = false;  ///< payload starts with a TraceInfo (wire v2)
+  bool traced = false;  ///< payload starts with a TraceInfo
 };
 
 /// Encodes `h` into exactly kHeaderBytes at out[0..12].
@@ -155,7 +140,7 @@ void EncodeHeader(const FrameHeader& h, uint8_t out[kHeaderBytes]);
 /// Accepts the traced bit (sets out->traced).
 Status DecodeHeader(const uint8_t in[kHeaderBytes], FrameHeader* out);
 
-/// Trace header carried at the front of a traced frame's payload (wire v2).
+/// Trace header carried at the front of a traced frame's payload.
 /// On REQUEST/ONEWAY/NOTIFY/CALLBACK it propagates the sender's context;
 /// on RESPONSE it echoes the request's context and reports where the
 /// server spent the call's time, letting the client decompose its measured

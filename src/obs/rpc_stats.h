@@ -10,9 +10,8 @@
 //   rpc.<method>.deserialize_us  decode response payload
 //   rpc.<method>.total_us        end-to-end at the caller
 //
-// Server-side parts arrive in the response frame's TraceInfo (wire v2);
-// against a v1 server queue/execute are unknown and network_us absorbs
-// them. Histograms live in GlobalMetrics; this table exists so the per-call
+// Server-side parts arrive in the response frame's TraceInfo; on an
+// untraced call queue/execute are unknown and network_us absorbs them. Histograms live in GlobalMetrics; this table exists so the per-call
 // hot path costs an array index, not six registry map lookups.
 
 #pragma once

@@ -2,7 +2,7 @@
 //
 // A TraceContext (trace_id, span_id) is allocated at a client API call and
 // travels in REQUEST/NOTIFY/CALLBACK wire frames (net/wire.h TraceInfo,
-// flagged by the traced bit of the frame-type byte, wire v2). Each side
+// flagged by the traced bit of the frame-type byte). Each side
 // opens child spans around its own stages — client serialize / network /
 // reply deserialize, server queue wait / lock acquisition / storage I/O /
 // commit / callback fan-out — and records them into a lock-striped

@@ -18,13 +18,12 @@
 //   --early-notify    DLM sends update-intention notices at X-lock time
 //   --integrated      integrated DLM deployment (server-side D locks)
 //   --trace [N]       record server-side trace spans (sample 1-in-N roots,
-//                     default every root); dump via the TRACE_DUMP RPC
+//                     default every root); dump via `idba_stat --trace`
 //   --slow-rpc-ms N   log + ring-buffer RPCs slower than N ms (default 250,
 //                     0 disables)
 //   --metrics-interval SECS
 //                     print a STATS JSON document to stdout every SECS
-//                     seconds (one document per line); also sets the
-//                     time-series snapshot cadence (default 5 s without it)
+//                     seconds (one document per line)
 //   --prom-port N     serve Prometheus text exposition on
 //                     http://<bind>:N/metrics (0 = ephemeral, printed on
 //                     stdout; omit the flag for no HTTP endpoint)
@@ -49,9 +48,8 @@
 //                     bounded bump in commit latency for fewer fsyncs —
 //                     see DESIGN.md §12
 //   --profile-hz N    start the sampling profiler at N Hz on boot (it can
-//                     also be started per-run via `idba_stat --profile` /
-//                     the PROFILE admin RPC); dump folded stacks the same
-//                     way (DESIGN.md §13)
+//                     also be started per-run via `idba_stat --profile`,
+//                     which also dumps the folded stacks; DESIGN.md §13)
 //   --watchdog-ms N   stall-watchdog threshold: a loop/worker thread stuck
 //                     in one dispatch longer than N ms is reported with its
 //                     stack and a flight dump (default 1000, 0 disables)
@@ -62,7 +60,7 @@
 //                     online consistency auditor (DESIGN.md §15): track
 //                     records violations of the monotonicity / visibility
 //                     / coherence invariants into consistency.* metrics
-//                     and the AUDIT admin RPC; strict additionally aborts
+//                     and `idba_stat --audit`; strict additionally aborts
 //                     with a flight dump on the first violation (chaos
 //                     harness / CI smoke). Default off
 //   --staleness-slo-ms N
@@ -101,6 +99,7 @@
 #include <unistd.h>
 
 #include "core/session.h"
+#include "net/admin.h"
 #include "net/tcp_server.h"
 #include "server/checkpointer.h"
 #include "server/durable.h"
@@ -108,7 +107,6 @@
 #include "obs/flight.h"
 #include "obs/profiler.h"
 #include "obs/prom_http.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 
@@ -133,7 +131,7 @@ int main(int argc, char** argv) {
   long max_inflight = -1;
   long io_threads = 0;      // 0 = auto-size from hardware_concurrency
   long worker_threads = 0;
-  long profile_hz = 0;      // 0 = profiler idle until the PROFILE RPC
+  long profile_hz = 0;      // 0 = profiler idle until idba_stat --profile
   long watchdog_ms = 1000;  // 0 = watchdog off
   std::string audit_mode_text = "off";
   long staleness_slo_ms = 100;  // visibility SLO window (virtual ms)
@@ -372,27 +370,22 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  // One thread drives both periodic jobs: the time-series ring always ticks
-  // (METRICS format 2 and idba_top trends need windows even when nothing is
-  // printed), and the STATS JSON line prints only when asked.
-  const long tick_interval_s = metrics_interval_s > 0 ? metrics_interval_s : 5;
   std::atomic<bool> dump_stop{false};
-  std::thread dump_thread([&] {
-    // Sleep in short slices so shutdown is not delayed a full interval.
-    int64_t elapsed_ms = 0;
-    while (!dump_stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      elapsed_ms += 50;
-      if (elapsed_ms < tick_interval_s * 1000) continue;
-      elapsed_ms = 0;
-      idba::obs::GlobalTimeSeries().Tick();
-      if (metrics_interval_s > 0) {
-        std::string json = transport.StatsJson();
-        std::printf("%s\n", json.c_str());
+  std::thread dump_thread;
+  if (metrics_interval_s > 0) {
+    dump_thread = std::thread([&] {
+      // Sleep in short slices so shutdown is not delayed a full interval.
+      int64_t elapsed_ms = 0;
+      while (!dump_stop.load(std::memory_order_relaxed)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        elapsed_ms += 50;
+        if (elapsed_ms < metrics_interval_s * 1000) continue;
+        elapsed_ms = 0;
+        std::printf("%s\n", idba::admin::StatsJson(transport).c_str());
         std::fflush(stdout);
       }
-    }
-  });
+    });
+  }
 
   sem_init(&g_stop_sem, 0, 0);
   std::signal(SIGINT, HandleStop);

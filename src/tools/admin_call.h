@@ -1,7 +1,8 @@
-// Shared admin-RPC helper for the operator CLIs (idba_stat, idba_top).
+// Shared ADMIN-call helper for the operator CLIs (idba_stat, idba_top).
 //
-// Admin methods (STATS, METRICS, LOCKS, CACHES, TRACE_DUMP) are callable
-// on a fresh connection without a Hello handshake and are exempt from
+// ADMIN (net/admin.h) carries every operator verb: STATS, TRACE_DUMP,
+// METRICS, LOCKS, CACHES, FLIGHT, PROFILE and AUDIT. It is callable on a
+// fresh connection without a Hello handshake and exempt from
 // admission-control shedding, so these tools can be pointed at a loaded
 // production server without perturbing session state.
 
@@ -12,24 +13,26 @@
 #include <string>
 #include <vector>
 
+#include "net/admin.h"
 #include "net/socket.h"
 #include "net/wire.h"
 
 namespace idba {
 namespace tools {
 
-/// One admin RPC on `sock`: request payload is method | client_vtime |
-/// method body; response is [TraceInfo] status | completion | body.
+/// One ADMIN call on `sock`: request payload is ADMIN | client_vtime |
+/// verb | args; response is [TraceInfo] status | completion | string.
 /// `seq` must be unique per in-flight request on the connection; callers
 /// issuing repeated calls (watch loops) should increment it.
-inline Status AdminCall(Socket& sock, wire::Method method,
-                        const std::vector<uint8_t>& method_body,
-                        std::string* out, uint64_t seq = 1) {
+inline Status AdminCall(Socket& sock, admin::Verb verb,
+                        const std::vector<uint8_t>& args, std::string* out,
+                        uint64_t seq = 1) {
   std::vector<uint8_t> payload;
   Encoder enc(&payload);
-  enc.PutU8(static_cast<uint8_t>(method));
+  enc.PutU8(static_cast<uint8_t>(wire::Method::kAdmin));
   enc.PutI64(0);  // client vtime: admin calls are unmetered
-  payload.insert(payload.end(), method_body.begin(), method_body.end());
+  enc.PutU8(static_cast<uint8_t>(verb));
+  payload.insert(payload.end(), args.begin(), args.end());
   std::mutex write_mu;
   IDBA_RETURN_NOT_OK(
       sock.WriteFrame(write_mu, wire::FrameType::kRequest, seq, payload));

@@ -1,15 +1,16 @@
 // idba_stat: live introspection CLI for a running idba_serve.
 //
-// Speaks the raw wire protocol (no Hello handshake: STATS, METRICS, LOCKS,
-// CACHES and TRACE_DUMP are admin methods callable on a fresh connection),
-// so it never perturbs session state — it can be pointed at a production
-// server mid-run.
+// Speaks the raw wire protocol without a Hello handshake: every report is
+// one verb of the ADMIN method (STATS, METRICS, LOCKS, CACHES, TRACE_DUMP,
+// FLIGHT, PROFILE, AUDIT), callable on a fresh connection, so it never
+// perturbs session state — it can be pointed at a production server
+// mid-run.
 //
-//   ./idba_stat --connect 127.0.0.1:7450            # human-readable stats
+//   ./idba_stat --connect 127.0.0.1:7450            # STATS, indented
 //   ./idba_stat --connect 127.0.0.1:7450 --json     # raw MetricsRegistry
 //                                    # DumpJson (counters/gauges/histograms)
 //   ./idba_stat --connect 127.0.0.1:7450 --stats-json
-//                                    # transport/session STATS document
+//                                    # the STATS document, compact
 //   ./idba_stat --connect 127.0.0.1:7450 --locks    # lock-table dump (JSON)
 //   ./idba_stat --connect 127.0.0.1:7450 --caches   # cache-hierarchy dump
 //   ./idba_stat --connect 127.0.0.1:7450 --prom     # Prometheus exposition
@@ -30,11 +31,11 @@
 //                                    # fetch the consistency auditor's
 //                                    # report (mode, SLO, violation ring)
 //
-// The text report covers transport counters, connected sessions (with
-// negotiated wire version), the display-lock table, the slow-RPC ring
-// (with trace ids), trace-recorder occupancy, and every registered
-// counter/histogram (rpc.* latency decompositions, display.staleness_vtime,
-// storage/txn counters, ...).
+// The default report is the STATS document indented one field per line:
+// transport and overload counters, connected sessions, the display-lock
+// table, WAL and checkpoint progress, the slow-RPC ring (with trace ids),
+// trace-recorder occupancy, and every registered counter/histogram (rpc.*
+// latency decompositions, display.staleness_vtime, storage/txn counters).
 //
 // --watch computes deltas from the Prometheus exposition (the same bytes a
 // scraper sees): counters print as rates, gauges as current values, and
@@ -49,6 +50,7 @@
 #include <vector>
 
 #include "tools/admin_call.h"
+#include "tools/json_indent.h"
 #include "tools/prom_text.h"
 
 namespace {
@@ -56,6 +58,7 @@ namespace {
 using idba::Encoder;
 using idba::Socket;
 using idba::Status;
+using idba::admin::Verb;
 using idba::tools::AdminCall;
 using idba::tools::ExtractHistogram;
 using idba::tools::ParsePromText;
@@ -216,74 +219,29 @@ int main(int argc, char** argv) {
   if (profile_s > 0) {
     // start -> sleep -> dump folded -> stop; the folded stacks go to stdout
     // so they pipe straight into flamegraph.pl.
-    uint64_t seq = 1;
-    {
+    auto profile = [&](uint8_t action, std::string* out, uint64_t seq) {
       std::vector<uint8_t> body;
       Encoder enc(&body);
-      enc.PutU8(1);  // action: start
-      enc.PutU32(static_cast<uint32_t>(profile_hz));
-      std::string status;
-      st = AdminCall(sock.value(), idba::wire::Method::kProfile, body, &status,
-                     seq++);
-      if (!st.ok()) return Fail(st, "PROFILE start");
-      std::fprintf(stderr, "idba_stat: %s, sampling %lds...\n", status.c_str(),
-                   profile_s);
-    }
+      enc.PutU8(action);
+      if (action == 1) enc.PutU32(static_cast<uint32_t>(profile_hz));
+      return AdminCall(sock.value(), Verb::kProfile, body, out, seq);
+    };
+    std::string status, folded;
+    st = profile(1, &status, 1);  // start
+    if (!st.ok()) return Fail(st, "PROFILE start");
+    std::fprintf(stderr, "idba_stat: %s, sampling %lds...\n", status.c_str(),
+                 profile_s);
     std::this_thread::sleep_for(std::chrono::seconds(profile_s));
-    std::string folded;
-    {
-      std::vector<uint8_t> body;
-      Encoder enc(&body);
-      enc.PutU8(3);  // action: dump folded stacks
-      st = AdminCall(sock.value(), idba::wire::Method::kProfile, body, &folded,
-                     seq++);
-      if (!st.ok()) return Fail(st, "PROFILE dump");
-    }
-    {
-      std::vector<uint8_t> body;
-      Encoder enc(&body);
-      enc.PutU8(2);  // action: stop
-      std::string status;
-      st = AdminCall(sock.value(), idba::wire::Method::kProfile, body, &status,
-                     seq++);
-      if (!st.ok()) return Fail(st, "PROFILE stop");
-      std::fprintf(stderr, "idba_stat: %s\n", status.c_str());
-    }
+    st = profile(3, &folded, 2);  // dump folded stacks
+    if (!st.ok()) return Fail(st, "PROFILE dump");
+    st = profile(2, &status, 3);  // stop
+    if (!st.ok()) return Fail(st, "PROFILE stop");
+    std::fprintf(stderr, "idba_stat: %s\n", status.c_str());
     std::fputs(folded.c_str(), stdout);
     return 0;
   }
 
-  if (audit) {
-    std::vector<uint8_t> body;
-    std::string report;
-    st = AdminCall(sock.value(), idba::wire::Method::kAudit, body, &report);
-    if (!st.ok()) return Fail(st, "AUDIT");
-    std::fputs(report.c_str(), stdout);
-    if (report.empty() || report.back() != '\n') std::fputc('\n', stdout);
-    return 0;
-  }
-
-  if (flight) {
-    std::vector<uint8_t> body;
-    std::string dump;
-    st = AdminCall(sock.value(), idba::wire::Method::kFlight, body, &dump);
-    if (!st.ok()) return Fail(st, "FLIGHT");
-    std::FILE* f =
-        flight_path == "-" ? stdout : std::fopen(flight_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "idba_stat: cannot open %s\n", flight_path.c_str());
-      return 1;
-    }
-    std::fputs(dump.c_str(), f);
-    if (f != stdout) {
-      std::fclose(f);
-      std::fprintf(stderr, "idba_stat: wrote %zu bytes to %s\n", dump.size(),
-                   flight_path.c_str());
-    }
-    return 0;
-  }
-
-  if (watch_s > 0) {
+  if (watch_s > 0 && !audit && !flight) {
     PromSamples prev;
     uint64_t seq = 1;
     for (long iter = 0; watch_count == 0 || iter <= watch_count; ++iter) {
@@ -291,8 +249,7 @@ int main(int argc, char** argv) {
       Encoder enc(&body);
       enc.PutU8(0);  // METRICS format 0: Prometheus text
       std::string text;
-      st = AdminCall(sock.value(), idba::wire::Method::kMetrics, body, &text,
-                     seq++);
+      st = AdminCall(sock.value(), Verb::kMetrics, body, &text, seq++);
       if (!st.ok()) return Fail(st, "METRICS");
       PromSamples cur = ParsePromText(text);
       if (iter > 0) {
@@ -305,54 +262,60 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (trace_path.empty()) {
-    idba::wire::Method method = idba::wire::Method::kStats;
-    std::vector<uint8_t> body;
-    Encoder enc(&body);
-    const char* what = "STATS";
-    if (json) {
-      method = idba::wire::Method::kMetrics;
-      enc.PutU8(1);  // registry DumpJson passthrough
-      what = "METRICS";
-    } else if (prom) {
-      method = idba::wire::Method::kMetrics;
-      enc.PutU8(0);  // Prometheus text exposition
-      what = "METRICS";
-    } else if (locks) {
-      method = idba::wire::Method::kLocks;
-      enc.PutU8(0);  // default top-K contended OIDs
-      what = "LOCKS";
-    } else if (caches) {
-      method = idba::wire::Method::kCaches;
-      what = "CACHES";
-    } else {
-      enc.PutU8(stats_json ? 0 : 1);  // STATS format flag: 0 = json, 1 = text
-    }
-    std::string out;
-    st = AdminCall(sock.value(), method, body, &out);
-    if (!st.ok()) return Fail(st, what);
-    std::fputs(out.c_str(), stdout);
-    if (out.empty() || out.back() != '\n') std::fputc('\n', stdout);
-    return 0;
-  }
-
+  // One document. Dumps (flight, trace) go to their path verbatim, "-"
+  // being stdout; reports go to stdout and end with a newline.
+  Verb verb = Verb::kStats;
   std::vector<uint8_t> body;
   Encoder enc(&body);
-  enc.PutU8(trace_format);
-  enc.PutU8(clear ? 1 : 0);
-  std::string dump;
-  st = AdminCall(sock.value(), idba::wire::Method::kTraceDump, body, &dump);
-  if (!st.ok()) return Fail(st, "TRACE_DUMP");
-  std::FILE* f = trace_path == "-" ? stdout : std::fopen(trace_path.c_str(), "w");
+  const char* what = "STATS";
+  std::string path;
+  if (audit) {
+    verb = Verb::kAudit;
+    what = "AUDIT";
+  } else if (flight) {
+    verb = Verb::kFlight;
+    what = "FLIGHT";
+    path = flight_path;
+  } else if (!trace_path.empty()) {
+    verb = Verb::kTraceDump;
+    enc.PutU8(trace_format);
+    enc.PutU8(clear ? 1 : 0);
+    what = "TRACE_DUMP";
+    path = trace_path;
+  } else if (json) {
+    verb = Verb::kMetrics;
+    enc.PutU8(1);  // registry DumpJson passthrough
+    what = "METRICS";
+  } else if (prom) {
+    verb = Verb::kMetrics;
+    enc.PutU8(0);  // Prometheus text exposition
+    what = "METRICS";
+  } else if (locks) {
+    verb = Verb::kLocks;
+    enc.PutU8(0);  // default top-K contended OIDs
+    what = "LOCKS";
+  } else if (caches) {
+    verb = Verb::kCaches;
+    what = "CACHES";
+  }
+  std::string out;
+  st = AdminCall(sock.value(), verb, body, &out);
+  if (!st.ok()) return Fail(st, what);
+  if (path.empty()) {
+    if (verb == Verb::kStats && !stats_json) out = idba::tools::IndentJson(out);
+    if (out.empty() || out.back() != '\n') out += '\n';
+    path = "-";
+  }
+  std::FILE* f = path == "-" ? stdout : std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "idba_stat: cannot open %s\n", trace_path.c_str());
+    std::fprintf(stderr, "idba_stat: cannot open %s\n", path.c_str());
     return 1;
   }
-  std::fputs(dump.c_str(), f);
+  std::fputs(out.c_str(), f);
   if (f != stdout) {
     std::fclose(f);
-    std::fprintf(stderr, "idba_stat: wrote %zu bytes to %s\n", dump.size(),
-                 trace_path.c_str());
+    std::fprintf(stderr, "idba_stat: wrote %zu bytes to %s\n", out.size(),
+                 path.c_str());
   }
   return 0;
 }

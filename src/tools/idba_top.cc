@@ -5,7 +5,7 @@
 //   ./idba_top --connect 127.0.0.1:7450 --count 10     # exit after 10 frames
 //   ./idba_top --connect 127.0.0.1:7450 --once         # one frame, no ANSI
 //
-// Each frame scrapes the METRICS admin RPC (Prometheus text — the same
+// Each frame scrapes the ADMIN METRICS verb (Prometheus text — the same
 // bytes a scraper sees over --prom-port) and renders per-interval deltas:
 // RPC rates with per-opcode p50/p99, transport throughput, per-I/O-loop
 // reactor health (wakeups/s, task-dispatch lag p99, connection count),
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
     Encoder enc(&body);
     enc.PutU8(0);  // METRICS format 0: Prometheus text
     std::string text;
-    st = AdminCall(sock.value(), idba::wire::Method::kMetrics, body, &text,
+    st = AdminCall(sock.value(), idba::admin::Verb::kMetrics, body, &text,
                    seq++);
     if (!st.ok()) return Fail(st, "METRICS");
     PromSamples cur = ParsePromText(text);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "client/database_client.h"
 
 namespace idba {
@@ -249,6 +251,35 @@ TEST_F(ClientServerTest, EvictionNoticeKeepsRegistryTight) {
   ASSERT_TRUE(c.ReadCurrent(o2).ok());  // evicts o1, server notified
   EXPECT_EQ(server_.callback_manager().CopyHolders(o1).size(), 0u);
   EXPECT_EQ(server_.callback_manager().CopyHolders(o2).size(), 1u);
+}
+
+TEST_F(ClientServerTest, ScanReCachingAnEvictedCopyKeepsItsCallback) {
+  // Six links; the last one is last in scan order.
+  std::vector<Oid> oids;
+  for (int i = 0; i < 6; ++i) oids.push_back(SeedLink(0.5));
+  const Oid last = oids.back();
+  const size_t one = server_.heap().Read(last).value().MemoryBytes();
+  // A cache of three copies: the scan evicts the copy of `last` read below
+  // before it re-caches `last` as its final row.
+  DatabaseClient viewer(
+      &server_, 102, &meter_, &bus_,
+      DatabaseClientOptions{.cache = {.capacity_bytes = 3 * one + one / 2}});
+  ASSERT_TRUE(viewer.ReadCurrent(last).ok());
+  ASSERT_TRUE(viewer.ScanClass(link_, false).ok());
+  ASSERT_TRUE(viewer.cache().Contains(last));
+  const std::vector<ClientId> holders =
+      server_.callback_manager().CopyHolders(last);
+  EXPECT_NE(std::find(holders.begin(), holders.end(), 102u), holders.end());
+
+  // A later commit must call the viewer's copy back.
+  TxnId t = a_->Begin();
+  DatabaseObject obj = a_->Read(t, last).value();
+  ASSERT_TRUE(obj.SetByName(server_.schema(), "Utilization", Value(0.99)).ok());
+  ASSERT_TRUE(a_->Write(t, std::move(obj)).ok());
+  ASSERT_TRUE(a_->Commit(t).ok());
+  EXPECT_EQ(viewer.ReadCurrent(last).value().GetByName(server_.schema(),
+                                                        "Utilization").value(),
+            Value(0.99));
 }
 
 }  // namespace

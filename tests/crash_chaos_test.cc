@@ -226,7 +226,7 @@ class CrashChaosTest : public ::testing::Test {
     }
   }
 
-  /// Server-side auditor field scraped from the AUDIT admin RPC's JSON
+  /// Server-side auditor field scraped from the ADMIN AUDIT verb's JSON
   /// report (no Hello needed; shed-exempt).
   int64_t AuditField(const std::string& key) {
     auto sock = Socket::ConnectTo("127.0.0.1", server_.port(),
@@ -234,7 +234,7 @@ class CrashChaosTest : public ::testing::Test {
     if (!sock.ok()) return -1;
     std::vector<uint8_t> body;
     std::string report;
-    if (!tools::AdminCall(sock.value(), wire::Method::kAudit, body, &report)
+    if (!tools::AdminCall(sock.value(), admin::Verb::kAudit, body, &report)
              .ok()) {
       return -1;
     }
@@ -243,16 +243,13 @@ class CrashChaosTest : public ::testing::Test {
     return std::atoll(report.c_str() + at + key.size() + 3);
   }
 
-  /// Counter value scraped from the admin STATS JSON (no Hello needed).
+  /// Counter value scraped from the ADMIN STATS JSON (no Hello needed).
   int64_t StatsCounter(const std::string& key) {
     auto sock = Socket::ConnectTo("127.0.0.1", server_.port(),
                                   /*connect_timeout_ms=*/5000);
     if (!sock.ok()) return -1;
-    std::vector<uint8_t> body;
-    Encoder enc(&body);
-    enc.PutU8(0);  // format: json
     std::string stats;
-    if (!tools::AdminCall(sock.value(), wire::Method::kStats, body, &stats)
+    if (!tools::AdminCall(sock.value(), admin::Verb::kStats, {}, &stats)
              .ok()) {
       return -1;
     }

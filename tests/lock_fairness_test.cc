@@ -18,13 +18,15 @@ TEST(LockFairnessTest, FifoOrderAmongConflictingWaiters) {
 
   std::vector<int> grant_order;
   std::mutex order_mu;
-  std::atomic<int> queued{0};
   std::vector<std::thread> waiters;
   for (int i = 0; i < 4; ++i) {
     waiters.emplace_back([&, i] {
-      // Stagger arrival so queue order is deterministic.
-      while (queued.load() != i) std::this_thread::yield();
-      queued.fetch_add(1);
+      // Stagger arrival so queue order is deterministic: waits() is bumped
+      // under the manager mutex just before a waiter is queued, so waiter
+      // i enqueues only after waiters 0..i-1 are in the queue.
+      while (lm.waits() != static_cast<uint64_t>(i)) {
+        std::this_thread::yield();
+      }
       ASSERT_TRUE(lm.Lock(10 + i, oid, LockMode::kX).ok());
       {
         std::lock_guard<std::mutex> lock(order_mu);
@@ -33,8 +35,7 @@ TEST(LockFairnessTest, FifoOrderAmongConflictingWaiters) {
       ASSERT_TRUE(lm.Unlock(10 + i, oid).ok());
     });
   }
-  while (queued.load() < 4) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  while (lm.waits() < 4) std::this_thread::yield();
   ASSERT_TRUE(lm.Unlock(1, oid).ok());
   for (auto& t : waiters) t.join();
   // X waiters are granted in arrival order.

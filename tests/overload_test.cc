@@ -13,6 +13,7 @@
 #include "client/txn_retry.h"
 #include "common/codec.h"
 #include "core/session.h"
+#include "net/admin.h"
 #include "net/fault_injector.h"
 #include "net/remote_client.h"
 #include "net/socket.h"
@@ -223,77 +224,10 @@ TEST_F(OverloadTest, OverloadedRejectionCarriesRetryAfterHint) {
   EXPECT_GT(result.attempts, 1);
 
   // The shedding shows up in server introspection (STATS / idba_stat).
-  EXPECT_NE(transport_->StatsJson().find("\"overload\""), std::string::npos);
-  EXPECT_NE(transport_->StatsText().find("overload"), std::string::npos);
+  EXPECT_NE(admin::StatsJson(*transport_).find("\"overload\""),
+            std::string::npos);
 
   faults->Reset();
-}
-
-// --- Escalation to disconnect (v1 peer cannot be resynced) ----------------
-//
-// A wire-v1 subscriber (Hello without the trailing version byte) that
-// stops draining its connection cannot be sent a RESYNC notification — the
-// escalation ladder goes straight to disconnect, and the server keeps
-// serving everyone else.
-TEST_F(OverloadTest, SlowV1SubscriberIsDisconnected) {
-  TransportServerOptions opts;
-  opts.callback_ack_timeout_ms = 200;
-  StartServer(opts);
-  SeedNms();
-  Oid oid = db_.link_oids[0];
-
-  // Hand-rolled v1 client: Hello body ends after the consistency byte.
-  Result<Socket> raw = Socket::ConnectTo("127.0.0.1", transport_->port());
-  ASSERT_TRUE(raw.ok());
-  Socket sock = std::move(raw).value();
-  std::mutex mu;
-  {
-    std::vector<uint8_t> payload;
-    Encoder enc(&payload);
-    enc.PutU8(static_cast<uint8_t>(wire::Method::kHello));
-    enc.PutI64(0);      // client_now
-    enc.PutU64(100);    // client id
-    enc.PutU8(0);       // kAvoidance; no version byte -> v1 peer
-    ASSERT_TRUE(
-        sock.WriteFrame(mu, wire::FrameType::kRequest, 1, payload).ok());
-    wire::FrameHeader header;
-    std::vector<uint8_t> reply;
-    ASSERT_TRUE(sock.ReadFrame(&header, &reply).ok());  // schema snapshot
-  }
-  {
-    // Register a cached copy so commits must call back into this client.
-    std::vector<uint8_t> payload;
-    Encoder enc(&payload);
-    enc.PutU8(static_cast<uint8_t>(wire::Method::kFetchCurrent));
-    enc.PutI64(0);
-    enc.PutU64(oid.value);
-    enc.PutU8(1);  // register_copy
-    ASSERT_TRUE(
-        sock.WriteFrame(mu, wire::FrameType::kRequest, 2, payload).ok());
-    wire::FrameHeader header;
-    std::vector<uint8_t> reply;
-    ASSERT_TRUE(sock.ReadFrame(&header, &reply).ok());
-  }
-  // ...and then the client goes silent: it reads nothing and acks nothing.
-
-  auto writer = Connect(101);
-  ASSERT_NE(writer, nullptr);
-  ASSERT_TRUE(CommitUtilization(writer.get(), oid, 0.71).ok());
-
-  // Ack timeout -> stale; stale v1 peer -> disconnect (no RESYNC possible).
-  EXPECT_TRUE(WaitFor([&] { return transport_->slow_disconnects() >= 1; }));
-
-  // The raw socket drains whatever was in flight, then hits EOF.
-  bool eof = false;
-  for (int i = 0; i < 10 && !eof; ++i) {
-    wire::FrameHeader header;
-    std::vector<uint8_t> frame;
-    eof = !sock.ReadFrame(&header, &frame).ok();
-  }
-  EXPECT_TRUE(eof);
-
-  // Everyone else is unaffected.
-  ASSERT_TRUE(CommitUtilization(writer.get(), oid, 0.72).ok());
 }
 
 // --- In-process ladder rung 1: coalescing ---------------------------------

@@ -582,7 +582,7 @@ TEST_F(TransportFaultTest, WriteErrorInjectionFailsTheCallImmediately) {
 
 // --- NOTIFY fan-out soak ---------------------------------------------------
 //
-// A big population of raw wire-v2 subscriber sockets (one D lock each on a
+// A big population of raw subscriber sockets (one D lock each on a
 // hot object) all receive every committed update, and the transport
 // serializes each update's NOTIFY body exactly once: the fanout counters
 // show one encode per distinct message and a reuse for every other
@@ -599,7 +599,7 @@ TEST_F(TransportFaultTest, ThousandSubscriberFanoutSerializesOnce) {
   SeedNms();
   Oid hot = db_.link_oids[0];
 
-  // Raw v2 subscribers: Hello (with the trailing version byte), then one
+  // Raw subscribers: Hello (ending in the wire version byte), then one
   // display lock on the hot object. No reader thread per socket — frames
   // accumulate in each socket's kernel buffer until the test drains them.
   std::vector<Socket> subs;
@@ -683,7 +683,7 @@ TEST_F(TransportFaultTest, ClientDisconnectDuringNotifyBacklogSurvivesSigpipe) {
   SeedNms();
   Oid hot = db_.link_oids[0];
 
-  // Raw v2 subscribers take a display lock on the hot object and then
+  // Raw subscribers take a display lock on the hot object and then
   // never read: every commit below queues a NOTIFY for each of them.
   constexpr int kSubscribers = 4;
   std::vector<Socket> subs;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -66,6 +67,53 @@ class TransportTest : public ::testing::Test {
   std::unique_ptr<TransportServer> transport_;
   NmsDatabase db_;
 };
+
+TEST_F(TransportTest, ScanReCachingAnEvictedCopyKeepsItsCallback) {
+  StartServer();
+  auto writer = Connect(101);
+  ASSERT_NE(writer, nullptr);
+  ClassId cls = writer->DefineClass("Row").value();
+  ASSERT_TRUE(writer->AddAttribute(cls, "N", ValueType::kDouble).ok());
+  // Six rows; the last one is last in scan order.
+  std::vector<Oid> oids;
+  for (int i = 0; i < 6; ++i) {
+    TxnId t = writer->Begin();
+    Oid oid = writer->AllocateOid();
+    DatabaseObject obj = NewObject(writer->schema(), cls, oid);
+    ASSERT_TRUE(obj.SetByName(writer->schema(), "N", Value(0.5)).ok());
+    ASSERT_TRUE(writer->Insert(t, std::move(obj)).ok());
+    ASSERT_TRUE(writer->Commit(t).ok());
+    oids.push_back(oid);
+  }
+  const Oid last = oids.back();
+  DatabaseServer& server = deployment_->server();
+  const size_t one = server.heap().Read(last).value().MemoryBytes();
+  // A cache of three copies: the scan evicts the copy of `last` read below
+  // before it re-caches `last` as its final row.
+  RemoteClientOptions opts;
+  opts.cache.capacity_bytes = 3 * one + one / 2;
+  auto viewer = Connect(100, opts);
+  ASSERT_NE(viewer, nullptr);
+  ASSERT_TRUE(viewer->ReadCurrent(last).ok());
+  ASSERT_TRUE(viewer->ScanClass(cls, false).ok());
+  ASSERT_TRUE(viewer->cache().Contains(last));
+  // One round trip on the viewer's connection: the server has handled
+  // every eviction notice the scan sent before it.
+  ASSERT_TRUE(viewer->NewOid().ok());
+  const std::vector<ClientId> holders =
+      server.callback_manager().CopyHolders(last);
+  EXPECT_NE(std::find(holders.begin(), holders.end(), 100u), holders.end());
+
+  // A later commit must call the viewer's copy back.
+  TxnId t = writer->Begin();
+  DatabaseObject obj = writer->Read(t, last).value();
+  ASSERT_TRUE(obj.SetByName(writer->schema(), "N", Value(0.99)).ok());
+  ASSERT_TRUE(writer->Write(t, std::move(obj)).ok());
+  ASSERT_TRUE(writer->Commit(t).ok());
+  EXPECT_EQ(
+      viewer->ReadCurrent(last).value().GetByName(viewer->schema(), "N").value(),
+      Value(0.99));
+}
 
 TEST_F(TransportTest, HelloSnapshotsServerSchema) {
   StartServer();

@@ -3,6 +3,19 @@
 #include <gtest/gtest.h>
 
 namespace idba {
+
+// Names each ValueRoundTrip case by type and content. gtest's default is a
+// dump of the Value's raw bytes, which hold heap addresses and uninitialised
+// storage, so the ctest case names changed with every build.
+void PrintTo(const Value& v, std::ostream* os) {
+  *os << ValueTypeName(v.type());
+  if (v.type() == ValueType::kString && v.AsString().size() > 16) {
+    *os << " of " << v.AsString().size() << " chars";
+  } else if (!v.is_null()) {
+    *os << ' ' << v.ToString();
+  }
+}
+
 namespace {
 
 TEST(ValueTest, TypesAndAccessors) {
