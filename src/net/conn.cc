@@ -32,15 +32,19 @@ Conn::Conn(EventLoop* loop, Socket sock, Handler* handler, Options opts)
 }
 
 Conn::~Conn() {
-  if (registered_ && !closed_.load(std::memory_order_acquire)) {
+  if (registered_.load(std::memory_order_acquire) &&
+      !closed_.load(std::memory_order_acquire)) {
     (void)loop_->Del(sock_.fd());
   }
 }
 
 Status Conn::Register() {
   IDBA_RETURN_NOT_OK(sock_.SetNonBlocking(true));
+  // Set before the fd enters epoll: the loop may close the connection as
+  // soon as the first event arrives, and must then remove the fd.
+  registered_.store(true, std::memory_order_release);
   Status st = loop_->Add(sock_.fd(), EPOLLIN | EPOLLRDHUP, this);
-  if (st.ok()) registered_ = true;
+  if (!st.ok()) registered_.store(false, std::memory_order_release);
   return st;
 }
 
@@ -259,7 +263,7 @@ void Conn::Flush() {
 
 void Conn::CloseOnLoop() {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-  if (registered_) (void)loop_->Del(sock_.fd());
+  if (registered_.load(std::memory_order_acquire)) (void)loop_->Del(sock_.fd());
   sock_.ShutdownBoth();
   Handler* handler = handler_;
   handler_ = nullptr;

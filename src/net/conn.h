@@ -154,7 +154,9 @@ class Conn : public EventLoop::Handler,
   std::atomic<bool> flush_scheduled_{false};
   std::atomic<bool> closed_{false};
   std::atomic<int64_t> last_read_us_{0};
-  bool registered_ = false;
+  /// In the loop's epoll set. Written by the registering thread, read on
+  /// the loop thread once events can arrive.
+  std::atomic<bool> registered_{false};
 
   Histogram* write_queue_hist_ = nullptr;
   Counter* writev_calls_ = nullptr;

@@ -1,6 +1,7 @@
 #include "nms/network_model.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace idba {
 
@@ -254,11 +255,8 @@ Result<NmsDatabase> PopulateNms(DatabaseServer* server, const NmsConfig& config)
   }
 
   // --- Hardware hierarchy ----------------------------------------------
-  struct Pending {
-    Oid oid;
-    std::vector<Oid> children;
-  };
   std::vector<std::pair<Oid, DatabaseObject>> components;
+  std::unordered_map<Oid, size_t> component_index;  // oid -> components slot
 
   auto new_component = [&](ClassId cls, const std::string& name, Oid parent,
                            double capacity) {
@@ -281,22 +279,22 @@ Result<NmsDatabase> PopulateNms(DatabaseServer* server, const NmsConfig& config)
     (void)obj.SetByName(catalog, "WarrantyExpiry", "1998-12-31");
     (void)obj.SetByName(catalog, "SupportContract",
                         "CON-" + std::to_string(100000 + rng.NextBelow(899999)));
+    component_index[oid] = components.size();
     components.emplace_back(oid, std::move(obj));
     db.all_hardware_oids.push_back(oid);
     return oid;
   };
+  auto component = [&](Oid oid) -> DatabaseObject& {
+    return components[component_index.at(oid)].second;
+  };
   auto attach_child = [&](Oid parent, Oid child) {
-    for (auto& [oid, obj] : components) {
-      if (oid == parent) {
-        auto cur = obj.GetByName(catalog, "Children");
-        std::vector<Oid> kids = cur.ok() && cur.value().type() == ValueType::kOidList
-                                    ? cur.value().AsOidList()
-                                    : std::vector<Oid>{};
-        kids.push_back(child);
-        (void)obj.SetByName(catalog, "Children", std::move(kids));
-        return;
-      }
-    }
+    DatabaseObject& obj = component(parent);
+    auto cur = obj.GetByName(catalog, "Children");
+    std::vector<Oid> kids = cur.ok() && cur.value().type() == ValueType::kOidList
+                                ? cur.value().AsOidList()
+                                : std::vector<Oid>{};
+    kids.push_back(child);
+    (void)obj.SetByName(catalog, "Children", std::move(kids));
   };
 
   db.hardware_root =
@@ -306,12 +304,8 @@ Result<NmsDatabase> PopulateNms(DatabaseServer* server, const NmsConfig& config)
     Oid site = new_component(s.site, MakeName("site", si), db.hardware_root, 1.0);
     attach_child(db.hardware_root, site);
     db.site_oids.push_back(site);
-    for (auto& [oid, obj] : components) {
-      if (oid == site) {
-        (void)obj.SetByName(catalog, "Region",
-                            std::string(kRegions[si % 5]));
-      }
-    }
+    (void)component(site).SetByName(catalog, "Region",
+                                    std::string(kRegions[si % 5]));
     for (int bi = 0; bi < config.buildings_per_site; ++bi) {
       Oid building = new_component(s.building, MakeName("bldg", bi), site, 1.0);
       attach_child(site, building);

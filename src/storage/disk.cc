@@ -6,7 +6,7 @@
 
 #include <cstring>
 
-#if defined(__SSE4_2__)
+#if defined(__x86_64__)
 #include <nmmintrin.h>
 #endif
 
@@ -45,9 +45,32 @@ bool AllZero(const uint8_t* data, size_t len) {
 
 }  // namespace
 
-uint32_t Crc32c(const uint8_t* data, size_t len) {
+namespace crc32c_internal {
+
+uint32_t Table(const uint8_t* data, size_t len) {
+  const uint32_t* table = Crc32cTable();
   uint32_t crc = 0xFFFFFFFFu;
-#if defined(__SSE4_2__)
+  for (size_t i = 0; i < len; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xFF];
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+#if defined(__x86_64__)
+
+bool HardwareAvailable() {
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return available;
+}
+
+// Compiled for SSE4.2 whatever the build's -m flags; only reached after
+// HardwareAvailable() said the CPU has it.
+__attribute__((target("sse4.2"))) uint32_t Hardware(const uint8_t* data,
+                                                    size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
   while (len >= 8) {
     uint64_t chunk;
     std::memcpy(&chunk, data, 8);
@@ -59,13 +82,24 @@ uint32_t Crc32c(const uint8_t* data, size_t len) {
     crc = _mm_crc32_u8(crc, *data++);
     --len;
   }
-#else
-  const uint32_t* table = Crc32cTable();
-  for (size_t i = 0; i < len; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xFF];
-  }
-#endif
   return crc ^ 0xFFFFFFFFu;
+}
+
+#else
+
+bool HardwareAvailable() { return false; }
+
+uint32_t Hardware(const uint8_t* data, size_t len) { return Table(data, len); }
+
+#endif
+
+}  // namespace crc32c_internal
+
+uint32_t Crc32c(const uint8_t* data, size_t len) {
+  static const auto kernel = crc32c_internal::HardwareAvailable()
+                                 ? &crc32c_internal::Hardware
+                                 : &crc32c_internal::Table;
+  return kernel(data, len);
 }
 
 void Disk::StampPageCrc(PageData* page) {

@@ -28,8 +28,21 @@ constexpr size_t kPageSize = 4096;
 /// zero-padded tail of a file) is always accepted as valid.
 constexpr size_t kPageCrcSize = 4;
 
-/// CRC32C (Castagnoli) over `len` bytes.
+/// CRC32C (Castagnoli) over `len` bytes. Runs the SSE4.2 `crc32`
+/// instruction when the CPU has it (checked once, at run time) and a byte
+/// table otherwise; both give the same value, so pages stamped on one host
+/// verify on any other.
 uint32_t Crc32c(const uint8_t* data, size_t len);
+
+/// The two kernels behind Crc32c, exposed so tests can check each one.
+namespace crc32c_internal {
+/// Byte-at-a-time table kernel; runs everywhere.
+uint32_t Table(const uint8_t* data, size_t len);
+/// True if this CPU can run Hardware().
+bool HardwareAvailable();
+/// SSE4.2 kernel. Call only when HardwareAvailable().
+uint32_t Hardware(const uint8_t* data, size_t len);
+}  // namespace crc32c_internal
 
 /// Fixed-size page image.
 struct PageData {

@@ -4,6 +4,22 @@
 
 namespace idba {
 
+namespace {
+
+/// Encodes `obj` as a heap record, rejecting images no page can hold.
+Result<std::vector<uint8_t>> EncodeRecord(const DatabaseObject& obj) {
+  std::vector<uint8_t> bytes;
+  Encoder enc(&bytes);
+  obj.EncodeTo(&enc);
+  if (bytes.size() > kPageSize - 64) {
+    return Status::InvalidArgument("object too large for a page: " +
+                                   std::to_string(bytes.size()) + " bytes");
+  }
+  return bytes;
+}
+
+}  // namespace
+
 HeapStore::HeapStore(BufferPool* pool) : pool_(pool) {
   page_misses_.BindGlobal(GlobalMetrics().GetCounter("storage.heap.page_misses"));
 }
@@ -24,32 +40,49 @@ Result<std::unique_ptr<HeapStore>> HeapStore::Open(BufferPool* pool,
       Decoder dec(bytes.data(), bytes.size());
       DatabaseObject obj;
       IDBA_RETURN_NOT_OK(DatabaseObject::DecodeFrom(&dec, &obj));
-      store->directory_[obj.oid()] = ObjectLocation{p, slot};
+      store->directory_[obj.oid()] = ObjectLocation{p, slot, obj.class_id()};
     }
     if (page.FreeSpaceAfterCompaction() >= kPageSize / 4) {
       store->pages_with_space_.push_back(p);
     }
   }
+  // Built from the finished directory, so each OID lands in exactly one
+  // extent even if a page scanned later held a newer image of it.
+  for (const auto& [oid, loc] : store->directory_) {
+    store->extents_[loc.cls].push_back(oid);
+  }
+  for (auto& [cls, oids] : store->extents_) std::sort(oids.begin(), oids.end());
   store->next_page_ = data_page_count;
   return store;
 }
 
-Status HeapStore::Insert(const DatabaseObject& obj, IoStats* io) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return InsertLocked(obj, io);
+void HeapStore::AddToExtent(ClassId cls, Oid oid) {
+  std::vector<Oid>& oids = extents_[cls];
+  oids.insert(std::upper_bound(oids.begin(), oids.end(), oid), oid);
 }
 
-Status HeapStore::InsertLocked(const DatabaseObject& obj, IoStats* io) {
+void HeapStore::RemoveFromExtent(ClassId cls, Oid oid) {
+  auto it = extents_.find(cls);
+  if (it == extents_.end()) return;
+  std::vector<Oid>& oids = it->second;
+  auto pos = std::lower_bound(oids.begin(), oids.end(), oid);
+  if (pos != oids.end() && *pos == oid) oids.erase(pos);
+  if (oids.empty()) extents_.erase(it);
+}
+
+Status HeapStore::Insert(const DatabaseObject& obj, IoStats* io) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (directory_.count(obj.oid())) {
     return Status::AlreadyExists(obj.oid().ToString());
   }
-  std::vector<uint8_t> bytes;
-  Encoder enc(&bytes);
-  obj.EncodeTo(&enc);
-  if (bytes.size() > kPageSize - 64) {
-    return Status::InvalidArgument("object too large for a page: " +
-                                   std::to_string(bytes.size()) + " bytes");
-  }
+  IDBA_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, EncodeRecord(obj));
+  IDBA_RETURN_NOT_OK(PlaceLocked(obj.oid(), obj.class_id(), bytes, io));
+  AddToExtent(obj.class_id(), obj.oid());
+  return Status::OK();
+}
+
+Status HeapStore::PlaceLocked(Oid oid, ClassId cls,
+                              const std::vector<uint8_t>& bytes, IoStats* io) {
   // Try candidate pages with free space, newest first.
   while (!pages_with_space_.empty()) {
     PageId pid = pages_with_space_.back();
@@ -60,7 +93,7 @@ Status HeapStore::InsertLocked(const DatabaseObject& obj, IoStats* io) {
     auto slot = page.Insert(bytes.data(), bytes.size());
     if (slot.ok()) {
       guard.MarkDirty();
-      directory_[obj.oid()] = ObjectLocation{pid, slot.value()};
+      directory_[oid] = ObjectLocation{pid, slot.value(), cls};
       if (page.FreeSpaceAfterCompaction() < kPageSize / 4) pages_with_space_.pop_back();
       return Status::OK();
     }
@@ -73,7 +106,7 @@ Status HeapStore::InsertLocked(const DatabaseObject& obj, IoStats* io) {
   page.Init();
   IDBA_ASSIGN_OR_RETURN(SlotId slot, page.Insert(bytes.data(), bytes.size()));
   guard.MarkDirty();
-  directory_[obj.oid()] = ObjectLocation{pid, slot};
+  directory_[oid] = ObjectLocation{pid, slot, cls};
   if (page.FreeSpaceAfterCompaction() >= kPageSize / 4) pages_with_space_.push_back(pid);
   return Status::OK();
 }
@@ -97,28 +130,36 @@ Status HeapStore::Update(const DatabaseObject& obj, IoStats* io) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = directory_.find(obj.oid());
   if (it == directory_.end()) return Status::NotFound(obj.oid().ToString());
-  std::vector<uint8_t> bytes;
-  Encoder enc(&bytes);
-  obj.EncodeTo(&enc);
-  if (bytes.size() > kPageSize - 64) {
-    return Status::InvalidArgument("object too large for a page");
-  }
+  IDBA_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, EncodeRecord(obj));
   bool missed = false;
   IDBA_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(it->second.page, &missed));
   CountMiss(io, missed);
   SlottedPage page(guard.data());
+  const ClassId old_cls = it->second.cls;
   Status st = page.Update(it->second.slot, bytes.data(), bytes.size());
   if (st.ok()) {
     guard.MarkDirty();
-    return Status::OK();
+    it->second.cls = obj.class_id();
+  } else {
+    if (!st.IsBusy()) return st;
+    // Doesn't fit in place: relocate to another page.
+    IDBA_RETURN_NOT_OK(page.Erase(it->second.slot));
+    guard.MarkDirty();
+    guard.Release();
+    directory_.erase(it);
+    st = PlaceLocked(obj.oid(), obj.class_id(), bytes, io);
+    if (!st.ok()) {
+      // The old image is gone too: keep the extent in step with the
+      // directory.
+      RemoveFromExtent(old_cls, obj.oid());
+      return st;
+    }
   }
-  if (!st.IsBusy()) return st;
-  // Doesn't fit in place: relocate to another page.
-  IDBA_RETURN_NOT_OK(page.Erase(it->second.slot));
-  guard.MarkDirty();
-  guard.Release();
-  directory_.erase(it);
-  return InsertLocked(obj, io);
+  if (old_cls != obj.class_id()) {
+    RemoveFromExtent(old_cls, obj.oid());
+    AddToExtent(obj.class_id(), obj.oid());
+  }
+  return Status::OK();
 }
 
 Status HeapStore::Erase(Oid oid, IoStats* io) {
@@ -137,6 +178,7 @@ Status HeapStore::Erase(Oid oid, IoStats* io) {
       page.FreeSpaceAfterCompaction() >= kPageSize / 4) {
     pages_with_space_.push_back(it->second.page);
   }
+  RemoveFromExtent(it->second.cls, oid);
   directory_.erase(it);
   return Status::OK();
 }
@@ -158,18 +200,9 @@ PageId HeapStore::data_page_count() const {
 
 Result<std::vector<Oid>> HeapStore::ScanClass(ClassId cls) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Oid> out;
-  for (const auto& [oid, loc] : directory_) {
-    IDBA_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(loc.page));
-    SlottedPage page(guard.data());
-    IDBA_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, page.Read(loc.slot));
-    Decoder dec(bytes.data(), bytes.size());
-    DatabaseObject obj;
-    IDBA_RETURN_NOT_OK(DatabaseObject::DecodeFrom(&dec, &obj));
-    if (obj.class_id() == cls) out.push_back(oid);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  auto it = extents_.find(cls);
+  if (it == extents_.end()) return std::vector<Oid>{};
+  return it->second;
 }
 
 std::vector<Oid> HeapStore::AllOids() const {

@@ -1,6 +1,7 @@
 // Object heap store: places serialized DatabaseObjects on slotted pages via
-// the buffer pool and maintains an in-memory OID -> (page, slot) directory
-// (rebuilt by scanning pages on open, i.e. after a restart).
+// the buffer pool and maintains an in-memory OID -> (page, slot, class)
+// directory plus per-class extents (both rebuilt by scanning pages on open,
+// i.e. after a restart).
 
 #pragma once
 
@@ -21,6 +22,7 @@ namespace idba {
 struct ObjectLocation {
   PageId page = 0;
   SlotId slot = 0;
+  ClassId cls = 0;  ///< class of the stored image: the extent holding the OID
 };
 
 /// Per-operation physical I/O accounting, fed into the virtual cost chain.
@@ -34,8 +36,9 @@ struct IoStats {
 /// Thread-safe heap of objects over a buffer pool.
 class HeapStore {
  public:
-  /// Opens a heap over `pool`, scanning pages [0, data_page_count) to
-  /// rebuild the OID directory. Pass 0 for an empty/new heap.
+  /// Opens a heap over `pool`, reading (and so verifying) every page in
+  /// [0, data_page_count) to rebuild the OID directory and the class
+  /// extents. Pass 0 for an empty/new heap.
   static Result<std::unique_ptr<HeapStore>> Open(BufferPool* pool,
                                                  PageId data_page_count);
 
@@ -55,9 +58,10 @@ class HeapStore {
   size_t object_count() const;
   PageId data_page_count() const;
 
-  /// All OIDs of objects whose class equals `cls` (no inheritance walk;
-  /// callers with hierarchies expand class ids first). Full scan of the
-  /// directory + pages.
+  /// All OIDs of objects whose class equals `cls`, ascending (no
+  /// inheritance walk; callers with hierarchies expand class ids first).
+  /// A copy of the class's extent taken under the store's lock: it touches
+  /// no page, so it neither misses nor disturbs the buffer pool's LRU.
   Result<std::vector<Oid>> ScanClass(ClassId cls) const;
 
   /// Every OID in the heap.
@@ -67,13 +71,22 @@ class HeapStore {
 
  private:
   explicit HeapStore(BufferPool* pool);
-  Status InsertLocked(const DatabaseObject& obj, IoStats* io);
+  /// Writes the encoded image of `oid` to a page with room (or a fresh one)
+  /// and points the directory at it. Leaves the extents alone.
+  Status PlaceLocked(Oid oid, ClassId cls, const std::vector<uint8_t>& bytes,
+                     IoStats* io);
+  void AddToExtent(ClassId cls, Oid oid);
+  void RemoveFromExtent(ClassId cls, Oid oid);
   /// Charges a miss to the per-op IoStats (if any) and the counters.
   void CountMiss(IoStats* io, bool missed) const;
 
   BufferPool* pool_;
   mutable std::mutex mu_;
   std::unordered_map<Oid, ObjectLocation> directory_;
+  // Class extents: the OIDs of directory_ grouped by ObjectLocation::cls,
+  // each sorted ascending. OIDs are allocated in increasing order, so
+  // inserts append; an erase shifts the OIDs after it (8 bytes each).
+  std::unordered_map<ClassId, std::vector<Oid>> extents_;
   // Pages with at least ~25% free space, candidates for inserts.
   std::vector<PageId> pages_with_space_;
   PageId next_page_ = 0;

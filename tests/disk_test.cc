@@ -4,8 +4,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 
 namespace idba {
 namespace {
@@ -14,6 +17,63 @@ PageData MakePage(uint8_t fill) {
   PageData p;
   std::memset(p.bytes, fill, kPageSize);
   return p;
+}
+
+struct CrcVector {
+  std::string name;
+  std::vector<uint8_t> data;
+  uint32_t crc;
+};
+
+// RFC 3720 appendix B.4, plus the common "123456789" check value.
+std::vector<CrcVector> Rfc3720Vectors() {
+  std::vector<uint8_t> ascending(32), descending(32);
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+    descending[i] = static_cast<uint8_t>(31 - i);
+  }
+  const std::string digits = "123456789";
+  return {
+      {"32 x 0x00", std::vector<uint8_t>(32, 0x00), 0x8A9136AAu},
+      {"32 x 0xFF", std::vector<uint8_t>(32, 0xFF), 0x62A8AB43u},
+      {"bytes 0..31", ascending, 0x46DD794Eu},
+      {"bytes 31..0", descending, 0x113FDB5Cu},
+      {"123456789", std::vector<uint8_t>(digits.begin(), digits.end()),
+       0xE3069283u},
+  };
+}
+
+TEST(Crc32cTest, TableKernelMatchesRfc3720Vectors) {
+  for (const CrcVector& v : Rfc3720Vectors()) {
+    EXPECT_EQ(crc32c_internal::Table(v.data.data(), v.data.size()), v.crc)
+        << v.name;
+  }
+}
+
+TEST(Crc32cTest, HardwareKernelMatchesRfc3720Vectors) {
+  if (!crc32c_internal::HardwareAvailable()) GTEST_SKIP() << "no SSE4.2";
+  for (const CrcVector& v : Rfc3720Vectors()) {
+    EXPECT_EQ(crc32c_internal::Hardware(v.data.data(), v.data.size()), v.crc)
+        << v.name;
+  }
+}
+
+TEST(Crc32cTest, DispatchedCrcMatchesRfc3720Vectors) {
+  for (const CrcVector& v : Rfc3720Vectors()) {
+    EXPECT_EQ(Crc32c(v.data.data(), v.data.size()), v.crc) << v.name;
+  }
+}
+
+TEST(Crc32cTest, KernelsAgreeOnEveryLengthAtUnalignedOffsets) {
+  if (!crc32c_internal::HardwareAvailable()) GTEST_SKIP() << "no SSE4.2";
+  Rng rng(3720);
+  std::vector<uint8_t> buf(kPageSize + 16);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t len = 0; len <= kPageSize; ++len) {
+    const uint8_t* p = buf.data() + 1 + len % 15;  // never 8-byte aligned
+    ASSERT_EQ(crc32c_internal::Hardware(p, len), crc32c_internal::Table(p, len))
+        << "len " << len;
+  }
 }
 
 TEST(MemDiskTest, ReadBackWhatWasWritten) {
@@ -151,6 +211,30 @@ TEST_F(FileDiskTest, OnDiskBitFlipDetectedAfterReopen) {
   EXPECT_EQ(disk.value()->ReadPage(1, &out).code(), StatusCode::kCorruption);
   // Page 0 was never written: reads back as zeros, which is always valid.
   EXPECT_TRUE(disk.value()->ReadPage(0, &out).ok());
+}
+
+TEST_F(FileDiskTest, TableStampedPageVerifiesThroughReadPage) {
+  // A page stamped by the table kernel, as a host without SSE4.2 writes it,
+  // must verify on whichever kernel this host dispatches to.
+  Rng rng(44);
+  PageData page;
+  for (uint8_t& b : page.bytes) b = static_cast<uint8_t>(rng.NextU64());
+  const uint32_t crc = crc32c_internal::Table(page.bytes + kPageCrcSize,
+                                              kPageSize - kPageCrcSize);
+  for (size_t i = 0; i < kPageCrcSize; ++i) {
+    page.bytes[i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  std::FILE* f = std::fopen(path_.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(kPageSize), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(page.bytes, 1, kPageSize, f), kPageSize);
+  ASSERT_EQ(std::fclose(f), 0);
+
+  auto disk = FileDisk::Open(path_);
+  ASSERT_TRUE(disk.ok());
+  PageData out;
+  ASSERT_TRUE(disk.value()->ReadPage(1, &out).ok());
+  EXPECT_EQ(std::memcmp(out.bytes, page.bytes, kPageSize), 0);
 }
 
 TEST_F(FileDiskTest, OpenFailsOnBadPath) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <map>
+#include <thread>
+
 #include "common/rng.h"
 
 namespace idba {
@@ -81,6 +86,105 @@ TEST_F(HeapStoreTest, ScanClassFiltersExactClass) {
   EXPECT_EQ(oids.value(), (std::vector<Oid>{Oid(1), Oid(3)}));
 }
 
+std::vector<Oid> Oids(std::initializer_list<uint64_t> ids) {
+  std::vector<Oid> out;
+  for (uint64_t id : ids) out.push_back(Oid(id));
+  return out;
+}
+
+TEST_F(HeapStoreTest, ScanClassDropsErasedObjects) {
+  for (uint64_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeObj(i, 7, "x")).ok());
+  }
+  ASSERT_TRUE(store_->Erase(Oid(2)).ok());
+  EXPECT_EQ(store_->ScanClass(7).value(), Oids({1, 3, 4}));
+  for (uint64_t i : {1, 3, 4}) ASSERT_TRUE(store_->Erase(Oid(i)).ok());
+  EXPECT_TRUE(store_->ScanClass(7).value().empty());
+}
+
+TEST_F(HeapStoreTest, ScanClassKeepsMembersAcrossUpdates) {
+  std::string payload(900, 'p');
+  for (uint64_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeObj(i, 7, payload)).ok());
+  }
+  PageId pages = store_->data_page_count();
+  ASSERT_TRUE(store_->Update(MakeObj(1, 7, "short")).ok());  // in place
+  EXPECT_EQ(store_->data_page_count(), pages);
+  ASSERT_TRUE(store_->Update(MakeObj(3, 7, std::string(3000, 'q'))).ok());
+  EXPECT_GT(store_->data_page_count(), pages);  // relocated to a fresh page
+  ASSERT_TRUE(store_->Insert(MakeObj(5, 8, "b")).ok());
+  EXPECT_EQ(store_->ScanClass(7).value(), Oids({1, 2, 3, 4}));
+  EXPECT_EQ(store_->ScanClass(8).value(), Oids({5}));
+}
+
+TEST_F(HeapStoreTest, ClassChangingUpdateMovesTheOid) {
+  std::string payload(900, 'p');
+  for (uint64_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeObj(i, 7, payload)).ok());
+  }
+  PageId pages = store_->data_page_count();
+  ASSERT_TRUE(store_->Update(MakeObj(2, 8, "in place")).ok());
+  ASSERT_TRUE(store_->Update(MakeObj(4, 9, std::string(3000, 'r'))).ok());
+  EXPECT_GT(store_->data_page_count(), pages);  // 4 relocated
+  EXPECT_EQ(store_->ScanClass(7).value(), Oids({1, 3}));
+  EXPECT_EQ(store_->ScanClass(8).value(), Oids({2}));
+  EXPECT_EQ(store_->ScanClass(9).value(), Oids({4}));
+  ASSERT_TRUE(store_->Update(MakeObj(2, 7, "back")).ok());
+  EXPECT_EQ(store_->ScanClass(7).value(), Oids({1, 2, 3}));
+  EXPECT_TRUE(store_->ScanClass(8).value().empty());
+}
+
+TEST_F(HeapStoreTest, ScanClassTouchesNoPage) {
+  std::string payload(600, 's');
+  for (uint64_t i = 1; i <= 120; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeObj(i, 1 + i % 3, payload)).ok());
+  }
+  ASSERT_GT(store_->data_page_count(), 16u);  // more pages than frames
+  const uint64_t hits = pool_.hits();
+  const uint64_t misses = pool_.misses();
+  const uint64_t reads = disk_.reads();
+  for (ClassId cls = 1; cls <= 3; ++cls) {
+    EXPECT_EQ(store_->ScanClass(cls).value().size(), 40u);
+  }
+  EXPECT_EQ(pool_.hits(), hits);
+  EXPECT_EQ(pool_.misses(), misses);
+  EXPECT_EQ(disk_.reads(), reads);
+}
+
+TEST_F(HeapStoreTest, ScanClassDuringInsertsAndErases) {
+  // Class 1 holds a fixed set; a writer churns class 2 next to it. Every
+  // scan sees all of class 1, and each class-2 scan is a sorted snapshot
+  // with no OID of another class.
+  for (uint64_t i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeObj(i, 1, "stable")).ok());
+  }
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t i = 1000; i < 1400; ++i) {
+      EXPECT_TRUE(store_->Insert(MakeObj(i, 2, "churn")).ok());
+      if (i % 2 == 1) {
+        EXPECT_TRUE(store_->Erase(Oid(i - 1)).ok());
+      }
+    }
+    done.store(true);
+  });
+  int scans = 0;
+  while (!done.load() || scans < 10) {
+    auto stable = store_->ScanClass(1);
+    ASSERT_TRUE(stable.ok());
+    EXPECT_EQ(stable.value().size(), 50u);
+    auto churn = store_->ScanClass(2);
+    ASSERT_TRUE(churn.ok());
+    EXPECT_TRUE(std::is_sorted(churn.value().begin(), churn.value().end()));
+    for (Oid oid : churn.value()) EXPECT_GE(oid.value, 1000u);
+    ++scans;
+  }
+  writer.join();
+  auto churn = store_->ScanClass(2).value();
+  EXPECT_EQ(churn.size(), 200u);  // the odd OIDs survive
+  for (Oid oid : churn) EXPECT_EQ(oid.value % 2, 1u);
+}
+
 TEST_F(HeapStoreTest, ManyObjectsSpanPages) {
   std::string payload(500, 'm');
   for (uint64_t i = 1; i <= 100; ++i) {
@@ -107,6 +211,27 @@ TEST_F(HeapStoreTest, ReopenRebuildsDirectory) {
   EXPECT_EQ(store2.value()->object_count(), 49u);
   EXPECT_FALSE(store2.value()->Contains(Oid(25)));
   EXPECT_EQ(store2.value()->Read(Oid(7)).value().Get(0), Value(payload));
+}
+
+TEST_F(HeapStoreTest, ReopenRebuildsClassExtents) {
+  std::string payload(300, 'd');
+  for (uint64_t i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeObj(i, 1 + i % 2, payload)).ok());
+  }
+  ASSERT_TRUE(store_->Erase(Oid(26)).ok());
+  ASSERT_TRUE(store_->Update(MakeObj(7, 3, payload)).ok());
+  ASSERT_TRUE(store_->Update(MakeObj(9, 3, std::string(2000, 'g'))).ok());
+  ASSERT_TRUE(pool_.FlushAll().ok());
+
+  BufferPool pool2(&disk_, {.frame_count = 16});
+  auto store2 = HeapStore::Open(&pool2, store_->data_page_count());
+  ASSERT_TRUE(store2.ok());
+  for (ClassId cls = 1; cls <= 4; ++cls) {
+    EXPECT_EQ(store2.value()->ScanClass(cls).value(),
+              store_->ScanClass(cls).value())
+        << "class " << cls;
+  }
+  EXPECT_EQ(store2.value()->ScanClass(3).value(), Oids({7, 9}));
 }
 
 TEST_F(HeapStoreTest, IoStatsCountMisses) {
@@ -145,21 +270,28 @@ TEST(HeapStorePropertyTest, RandomWorkloadMatchesModel) {
   BufferPool pool(&disk, {.frame_count = 32});
   auto store = std::move(HeapStore::Open(&pool, 0).value());
   Rng rng(777);
-  std::unordered_map<uint64_t, std::string> model;
+  constexpr ClassId kClasses = 4;
+  struct Entry {
+    ClassId cls;
+    std::string payload;
+  };
+  std::unordered_map<uint64_t, Entry> model;
   uint64_t next_oid = 1;
   for (int op = 0; op < 2000; ++op) {
     double dice = rng.NextDouble();
+    // Updates draw a class too, so most of them change the object's class.
+    ClassId cls = 1 + static_cast<ClassId>(rng.NextBelow(kClasses));
     if (dice < 0.5) {
       std::string payload(rng.NextBelow(600), static_cast<char>('a' + rng.NextBelow(26)));
       uint64_t oid = next_oid++;
-      ASSERT_TRUE(store->Insert(MakeObj(oid, 1, payload)).ok());
-      model[oid] = payload;
+      ASSERT_TRUE(store->Insert(MakeObj(oid, cls, payload)).ok());
+      model[oid] = {cls, payload};
     } else if (dice < 0.8 && !model.empty()) {
       auto it = model.begin();
       std::advance(it, rng.NextBelow(model.size()));
       std::string payload(rng.NextBelow(900), 'U');
-      ASSERT_TRUE(store->Update(MakeObj(it->first, 1, payload)).ok());
-      it->second = payload;
+      ASSERT_TRUE(store->Update(MakeObj(it->first, cls, payload)).ok());
+      it->second = {cls, payload};
     } else if (!model.empty()) {
       auto it = model.begin();
       std::advance(it, rng.NextBelow(model.size()));
@@ -168,10 +300,18 @@ TEST(HeapStorePropertyTest, RandomWorkloadMatchesModel) {
     }
   }
   EXPECT_EQ(store->object_count(), model.size());
-  for (const auto& [oid, payload] : model) {
+  std::map<ClassId, std::vector<Oid>> extents;
+  for (const auto& [oid, entry] : model) {
     auto obj = store->Read(Oid(oid));
     ASSERT_TRUE(obj.ok()) << oid;
-    EXPECT_EQ(obj.value().Get(0), Value(payload));
+    EXPECT_EQ(obj.value().class_id(), entry.cls);
+    EXPECT_EQ(obj.value().Get(0), Value(entry.payload));
+    extents[entry.cls].push_back(Oid(oid));
+  }
+  for (ClassId cls = 1; cls <= kClasses; ++cls) {
+    std::vector<Oid>& want = extents[cls];
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(store->ScanClass(cls).value(), want) << "class " << cls;
   }
 }
 

@@ -7,8 +7,8 @@
 namespace idba {
 namespace {
 
-DatabaseObject MakeObj(Oid oid, int64_t v) {
-  DatabaseObject obj(oid, 1, 1);
+DatabaseObject MakeObj(Oid oid, int64_t v, ClassId cls = 1) {
+  DatabaseObject obj(oid, cls, 1);
   obj.Set(0, Value(v));
   return obj;
 }
@@ -95,6 +95,34 @@ TEST_F(RecoveryTest, UpdatesAndErasesReplayInOrder) {
   EXPECT_EQ(heap->Read(a).value().Get(0), Value(int64_t(11)));
   EXPECT_EQ(heap->Read(a).value().version(), 2u);
   EXPECT_FALSE(heap->Contains(b));
+}
+
+TEST_F(RecoveryTest, ClassExtentsMatchAfterReplay) {
+  // Part of the history reaches the data pages before the crash, the rest
+  // only the WAL: the recovered extents must reflect all of it.
+  std::vector<Oid> oids;
+  TxnId t1 = mgr_->Begin();
+  for (int i = 0; i < 6; ++i) {
+    oids.push_back(mgr_->AllocateOid());
+    ASSERT_TRUE(mgr_->Insert(t1, MakeObj(oids[i], i, 1 + i % 2)).ok());
+  }
+  ASSERT_TRUE(mgr_->Commit(t1).ok());
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  TxnId t2 = mgr_->Begin();
+  ASSERT_TRUE(mgr_->Put(t2, MakeObj(oids[0], 10, 3)).ok());  // class 1 -> 3
+  ASSERT_TRUE(mgr_->Erase(t2, oids[1]).ok());
+  Oid late = mgr_->AllocateOid();
+  ASSERT_TRUE(mgr_->Insert(t2, MakeObj(late, 11, 2)).ok());
+  ASSERT_TRUE(mgr_->Commit(t2).ok());
+
+  auto heap = CrashAndRecover();
+  EXPECT_EQ(heap->ScanClass(1).value(), (std::vector<Oid>{oids[2], oids[4]}));
+  EXPECT_EQ(heap->ScanClass(2).value(),
+            (std::vector<Oid>{oids[3], oids[5], late}));
+  EXPECT_EQ(heap->ScanClass(3).value(), (std::vector<Oid>{oids[0]}));
+  for (ClassId cls = 1; cls <= 3; ++cls) {
+    EXPECT_EQ(heap->ScanClass(cls).value(), heap_->ScanClass(cls).value());
+  }
 }
 
 TEST_F(RecoveryTest, ReplayIsIdempotentAgainstFlushedPages) {
