@@ -31,7 +31,6 @@ struct Testbed {
 
 inline Testbed MakeTestbed(DeploymentOptions opts = {}, NmsConfig config = {}) {
   Testbed tb;
-  opts.server.integrated_display_locks = opts.dlm.integrated;
   tb.deployment = std::make_unique<Deployment>(opts);
   tb.db = PopulateNms(&tb.deployment->server(), config).value();
   tb.dcs = RegisterNmsDisplayClasses(&tb.deployment->display_schema(),

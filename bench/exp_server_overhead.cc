@@ -36,7 +36,7 @@ double CommitsPerSecond(Testbed& tb, ClientApi* writer, int commits) {
 struct Row {
   std::string label;
   int holders;       // display-lock holders per link
-  bool integrated;   // D locks mirrored into the server lock manager
+  bool integrated;   // integrated DLM: no agent hops
   bool full_refresh; // context row: viewers refresh on host CPU too
 };
 
@@ -57,7 +57,7 @@ void Run() {
       {"agent DLM, 1 holder/obj", 1, false, false},
       {"agent DLM, 4 holders/obj", 4, false, false},
       {"agent DLM, 16 holders/obj", 16, false, false},
-      {"integrated D locks, 4 holders/obj", 4, true, false},
+      {"integrated DLM, 4 holders/obj", 4, true, false},
       {"whole system, 4 viewers refreshing", 4, false, true},
   };
   for (const auto& row : rows) {

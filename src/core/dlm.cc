@@ -28,33 +28,23 @@ Status DisplayLockManager::Lock(ClientId holder, Oid oid, VTime sent_at) {
   // One unacknowledged message: the DLM observes its arrival.
   clock_.Observe(sent_at + bus_->cost_model().MessageCost(40));
   lock_requests_.Add();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    holders_[oid].insert(holder);
-    by_client_[holder].insert(oid);
-  }
-  if (opts_.integrated) {
-    // Mirror into the server lock manager (mode D is compatible with
-    // everything, so this can never block).
-    return server_->DisplayLock(holder, oid);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  holders_[oid].insert(holder);
+  by_client_[holder].insert(oid);
   return Status::OK();
 }
 
 Status DisplayLockManager::Unlock(ClientId holder, Oid oid, VTime sent_at) {
   clock_.Observe(sent_at + bus_->cost_model().MessageCost(40));
   unlock_requests_.Add();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = holders_.find(oid);
-    if (it != holders_.end()) {
-      it->second.erase(holder);
-      if (it->second.empty()) holders_.erase(it);
-    }
-    auto cit = by_client_.find(holder);
-    if (cit != by_client_.end()) cit->second.erase(oid);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = holders_.find(oid);
+  if (it != holders_.end()) {
+    it->second.erase(holder);
+    if (it->second.empty()) holders_.erase(it);
   }
-  if (opts_.integrated) return server_->DisplayUnlock(holder, oid);
+  auto cit = by_client_.find(holder);
+  if (cit != by_client_.end()) cit->second.erase(oid);
   return Status::OK();
 }
 
@@ -65,17 +55,10 @@ Status DisplayLockManager::LockBatch(ClientId holder,
                  bus_->cost_model().MessageCost(16 + 8 * static_cast<int64_t>(
                                                          oids.size())));
   lock_requests_.Add();  // one message, many oids
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Oid oid : oids) {
-      holders_[oid].insert(holder);
-      by_client_[holder].insert(oid);
-    }
-  }
-  if (opts_.integrated) {
-    for (Oid oid : oids) {
-      IDBA_RETURN_NOT_OK(server_->DisplayLock(holder, oid));
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Oid oid : oids) {
+    holders_[oid].insert(holder);
+    by_client_[holder].insert(oid);
   }
   return Status::OK();
 }
@@ -87,20 +70,15 @@ Status DisplayLockManager::UnlockBatch(ClientId holder,
                  bus_->cost_model().MessageCost(16 + 8 * static_cast<int64_t>(
                                                          oids.size())));
   unlock_requests_.Add();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Oid oid : oids) {
-      auto it = holders_.find(oid);
-      if (it != holders_.end()) {
-        it->second.erase(holder);
-        if (it->second.empty()) holders_.erase(it);
-      }
-      auto cit = by_client_.find(holder);
-      if (cit != by_client_.end()) cit->second.erase(oid);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Oid oid : oids) {
+    auto it = holders_.find(oid);
+    if (it != holders_.end()) {
+      it->second.erase(holder);
+      if (it->second.empty()) holders_.erase(it);
     }
-  }
-  if (opts_.integrated) {
-    for (Oid oid : oids) (void)server_->DisplayUnlock(holder, oid);
+    auto cit = by_client_.find(holder);
+    if (cit != by_client_.end()) cit->second.erase(oid);
   }
   return Status::OK();
 }
@@ -108,40 +86,26 @@ Status DisplayLockManager::UnlockBatch(ClientId holder,
 Status DisplayLockManager::Reregister(ClientId holder,
                                       const std::vector<Oid>& oids) {
   reregister_requests_.Add();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Oid oid : oids) {
-      holders_[oid].insert(holder);
-      by_client_[holder].insert(oid);
-    }
-  }
-  if (opts_.integrated) {
-    for (Oid oid : oids) {
-      IDBA_RETURN_NOT_OK(server_->DisplayLock(holder, oid));
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Oid oid : oids) {
+    holders_[oid].insert(holder);
+    by_client_[holder].insert(oid);
   }
   return Status::OK();
 }
 
 void DisplayLockManager::ReleaseClient(ClientId holder) {
-  std::vector<Oid> oids;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto cit = by_client_.find(holder);
-    if (cit == by_client_.end()) return;
-    oids.assign(cit->second.begin(), cit->second.end());
-    for (const Oid& oid : oids) {
-      auto it = holders_.find(oid);
-      if (it != holders_.end()) {
-        it->second.erase(holder);
-        if (it->second.empty()) holders_.erase(it);
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  auto cit = by_client_.find(holder);
+  if (cit == by_client_.end()) return;
+  for (const Oid& oid : cit->second) {
+    auto it = holders_.find(oid);
+    if (it != holders_.end()) {
+      it->second.erase(holder);
+      if (it->second.empty()) holders_.erase(it);
     }
-    by_client_.erase(cit);
   }
-  if (opts_.integrated) {
-    for (const Oid& oid : oids) (void)server_->DisplayUnlock(holder, oid);
-  }
+  by_client_.erase(cit);
 }
 
 VTime DisplayLockManager::EventArrival(VTime server_time, int64_t report_bytes) {

@@ -6,9 +6,11 @@
 // its own OID -> {clients} table, receives lock/unlock messages and update
 // reports, and propagates notifications. This class reproduces that agent,
 // with an optional *integrated* deployment (opts.integrated) in which the
-// server's own lock manager records D locks and commit hooks reach the
-// DLM without the two extra agent hops — the configuration §4.1 describes
-// as the straightforward extension when the server can be modified.
+// DLM runs inside the server and commit hooks reach it without the two
+// extra agent hops — the configuration §4.1 describes as the
+// straightforward extension when the server can be modified. Both
+// deployments keep display locks in this one table; the lock manager's
+// mode D only defines their compatibility (txn/lock_manager.h).
 //
 // Display lock requests are not acknowledged (paper: "Display lock
 // requests are not acknowledged back to the clients since they are
@@ -35,8 +37,8 @@ struct DlmOptions {
   /// Ship new object images inside the notification (paper §4.3's "more
   /// eager approach [that] could eliminate two of the three messages").
   bool eager_shipping = false;
-  /// Integrated deployment: D locks recorded in the server lock manager,
-  /// commit/intent events reach the DLM without agent hops.
+  /// Integrated deployment: commit/intent events reach the DLM without
+  /// the two agent hops (see EventArrival).
   bool integrated = false;
 };
 

@@ -143,7 +143,6 @@ std::string StatsJson(const TransportServer& t) {
   out += ",\"notifications_shed\":" + std::to_string(t.notifications_shed());
   out += ",\"notify_overflows\":" + std::to_string(t.notify_overflows());
   out += ",\"forced_resyncs\":" + std::to_string(t.forced_resyncs());
-  out += ",\"slow_disconnects\":" + std::to_string(t.slow_disconnects());
   out += ",\"callbacks_elided\":" + std::to_string(t.callbacks_elided());
   out += ",\"callback_ack_timeouts\":" +
          std::to_string(t.callback_ack_timeouts());

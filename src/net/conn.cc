@@ -17,6 +17,8 @@ namespace {
 /// iovec batch per writev call. Well under IOV_MAX; with head+body pairs
 /// this still coalesces 32 fan-out frames into one syscall.
 constexpr int kMaxIov = 64;
+/// Bytes per recv() attempt while draining the socket to EAGAIN.
+constexpr size_t kReadChunk = 64 * 1024;
 
 }  // namespace
 
@@ -127,9 +129,8 @@ void Conn::HandleReadable() {
   bool peer_gone = false;
   for (;;) {
     const size_t old_size = rbuf_.size();
-    rbuf_.resize(old_size + opts_.read_chunk);
-    ssize_t rc = ::recv(sock_.fd(), rbuf_.data() + old_size, opts_.read_chunk,
-                        0);
+    rbuf_.resize(old_size + kReadChunk);
+    ssize_t rc = ::recv(sock_.fd(), rbuf_.data() + old_size, kReadChunk, 0);
     if (rc < 0) {
       rbuf_.resize(old_size);
       if (errno == EINTR) continue;

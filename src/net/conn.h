@@ -18,9 +18,9 @@
 // Backpressure: `write_backlogged()` reports when queued bytes exceed the
 // watermark. The transport stops draining a connection's notification
 // inbox while backlogged — the backlog then accumulates in the *bounded*
-// inbox where the overload ladder (coalesce → resync → disconnect,
-// DESIGN.md §9) applies — and resumes via Handler::OnWriteDrained when the
-// queue empties below the watermark.
+// inbox where the overload ladder (coalesce → resync, DESIGN.md §9)
+// applies — and resumes via Handler::OnWriteDrained when the queue empties
+// below the watermark.
 
 #pragma once
 
@@ -57,8 +57,6 @@ class Conn : public EventLoop::Handler,
   };
 
   struct Options {
-    /// Bytes per read() attempt while draining the socket.
-    size_t read_chunk = 64 * 1024;
     /// Notify lanes stop refilling while queued outbound bytes exceed this.
     size_t write_watermark_bytes = 256 * 1024;
     /// Raw-byte counters (optional; bumped on actual socket I/O).

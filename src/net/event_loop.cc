@@ -86,14 +86,10 @@ void EventLoop::Stop() {
   }
 }
 
-uint32_t EventLoop::TriggerBits() const {
-  return opts_.edge_triggered ? EPOLLET : 0;
-}
-
 Status EventLoop::Add(int fd, uint32_t events, Handler* handler) {
   if (epoll_fd_ < 0) return Status::Internal("event loop not started");
   epoll_event ev{};
-  ev.events = events | TriggerBits();
+  ev.events = events;
   ev.data.ptr = handler;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
     return Errno("epoll_ctl(add)");
@@ -104,7 +100,7 @@ Status EventLoop::Add(int fd, uint32_t events, Handler* handler) {
 Status EventLoop::Mod(int fd, uint32_t events, Handler* handler) {
   if (epoll_fd_ < 0) return Status::Internal("event loop not started");
   epoll_event ev{};
-  ev.events = events | TriggerBits();
+  ev.events = events;
   ev.data.ptr = handler;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
     return Errno("epoll_ctl(mod)");

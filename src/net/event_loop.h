@@ -1,11 +1,13 @@
 // Epoll readiness loop: the core of the event-driven transport.
 //
 // One EventLoop owns one epoll instance and one thread. Nonblocking fds are
-// registered with a Handler; the loop thread dispatches readiness events to
-// the handlers, runs posted tasks, and optionally fires a periodic tick
-// (used by the transport for idle-connection scans). An eventfd wakes the
-// loop from other threads (Post/Wakeup), so cross-thread work lands on the
-// loop promptly without polling.
+// registered level-triggered with a Handler (an unread byte re-arms the fd
+// on the next poll, so a handler may stop reading early without losing
+// data); the loop thread dispatches readiness events to the handlers, runs
+// posted tasks, and optionally fires a periodic tick (used by the
+// transport for idle-connection scans). An eventfd wakes the loop from
+// other threads (Post/Wakeup), so cross-thread work lands on the loop
+// promptly without polling.
 //
 // Handler lifetime contract: a handler must stay alive until after it has
 // been Del()ed on the loop thread AND any task posted before the Del has
@@ -55,11 +57,6 @@ class EventLoop {
   };
 
   struct Options {
-    /// Epoll trigger mode for registered fds. Level-triggered (default) is
-    /// forgiving — an unread byte re-arms the fd every poll; edge-triggered
-    /// requires handlers to drain to EAGAIN (Conn does) and saves wakeups
-    /// under load.
-    bool edge_triggered = false;
     /// When > 0, `on_tick` fires at least this often (the poll timeout is
     /// capped accordingly). 0 = block indefinitely between events.
     int64_t tick_interval_ms = 0;
@@ -85,8 +82,7 @@ class EventLoop {
   void Stop();
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
-  /// Registers `fd` for `events` (EPOLLIN etc.; the trigger mode is added
-  /// automatically). Thread-safe.
+  /// Registers `fd` for `events` (EPOLLIN etc.). Thread-safe.
   Status Add(int fd, uint32_t events, Handler* handler);
   /// Re-arms `fd` with a new event mask. Thread-safe.
   Status Mod(int fd, uint32_t events, Handler* handler);
@@ -114,7 +110,6 @@ class EventLoop {
  private:
   void Run();
   void DrainTasks();
-  uint32_t TriggerBits() const;
 
   Options opts_;
   int epoll_fd_ = -1;

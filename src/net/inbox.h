@@ -1,15 +1,16 @@
 // Per-endpoint queue of incoming asynchronous messages.
 //
 // By default the queue is unbounded (the seed behaviour). With
-// InboxOptions::max_pending set, the inbox becomes the first rung of the
-// overload-protection ladder (DESIGN.md §9): once the queue reaches the
-// coalesce watermark, a newly delivered envelope is merged into the most
-// recently queued one when the messages are coalescible
-// (Message::CoalesceWith — latest-version-wins, sound for display
-// notifications); when the queue is full and the pair is not coalescible,
-// the whole backlog is shed and the inbox enters *overflow* state: further
-// deliveries are dropped and counted until the consumer acknowledges via
-// TakeOverflow() and resynchronizes (refetch displayed state). Only the
+// InboxOptions::max_pending set, the inbox runs both steps of the
+// slow-consumer ladder (DESIGN.md §9), coalesce and then resync. Once the
+// queue reaches the coalesce watermark, a newly delivered envelope is
+// merged into the most recently queued one when the messages are
+// coalescible (Message::CoalesceWith — latest-version-wins, sound for
+// display notifications); when the queue is full and the pair is not
+// coalescible, the whole backlog is shed and the inbox enters *overflow*
+// state: further deliveries are dropped and counted until the consumer
+// acknowledges via TakeOverflow() and resynchronizes (refetch displayed
+// state). Only the
 // newest queued envelope is a merge candidate, so queue order — in
 // particular the relative order of intent notices and their resolutions —
 // is never disturbed.
@@ -37,15 +38,9 @@ struct InboxOptions {
   /// Start coalescing at this depth instead of only when full; 0 means
   /// "only when full". Ignored when max_pending == 0.
   size_t coalesce_watermark = 0;
-  /// Full + non-coalescible behaviour: true drops the *oldest* envelope to
-  /// admit the new one (an object whose dropped notification is never
-  /// followed by another may stay stale — the weakest policy); false
-  /// (default) sheds the whole backlog and enters overflow state, which
-  /// the consumer must resolve with a resync.
-  bool drop_oldest_on_full = false;
-  /// Called (outside the inbox lock) after each overflow with the total
-  /// overflow count — the transport uses it to escalate a persistently
-  /// slow subscriber to disconnect.
+  /// Called (outside the inbox lock, on the delivering thread) after each
+  /// overflow with the total overflow count — the transport uses it to mark
+  /// the subscriber stale before its flush runs.
   std::function<void(uint64_t overflow_count)> overflow_hook;
   /// Called (outside the inbox lock) after every delivery, including shed
   /// ones. The event-driven transport installs a hook that posts a flush to
@@ -64,7 +59,7 @@ struct InboxOptions {
 enum class DeliverOutcome {
   kQueued,     ///< appended normally
   kCoalesced,  ///< merged into the newest queued envelope
-  kShed,       ///< dropped (overflow state, or drop-oldest displaced one)
+  kShed,       ///< dropped (overflow state: the consumer owes a resync)
   kOverflow,   ///< backlog shed; inbox now in overflow state
 };
 
@@ -231,13 +226,6 @@ class Inbox {
     if (queue_.size() < opts_.max_pending) {
       queue_.push_back(std::move(e));
       return DeliverOutcome::kQueued;
-    }
-    if (opts_.drop_oldest_on_full) {
-      queue_.pop_front();
-      queue_.push_back(std::move(e));
-      shed_.Add();
-      if (opts_.shed_metric) opts_.shed_metric->Add();
-      return DeliverOutcome::kShed;
     }
     // Full and not coalescible: shed the whole backlog (bounded memory) and
     // flag overflow — the consumer must resync before the queue re-opens.

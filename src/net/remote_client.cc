@@ -14,6 +14,13 @@ namespace idba {
 
 namespace {
 
+/// Bound on establishing the TCP connection (Connect and each Reconnect
+/// attempt).
+constexpr int64_t kConnectTimeoutMs = 5000;
+/// Reconnect backoff: the first sleep, doubled per attempt up to the cap.
+constexpr int64_t kReconnectBackoffMs = 50;
+constexpr int64_t kReconnectBackoffCapMs = 2000;
+
 /// Records a span that already happened (retrospective child of `parent`).
 /// Returns its span id so further synthesized spans can nest under it.
 uint64_t EmitSpan(uint64_t trace_id, uint64_t parent, const char* name,
@@ -34,8 +41,7 @@ uint64_t EmitSpan(uint64_t trace_id, uint64_t parent, const char* name,
 }  // namespace
 
 RemoteDatabaseClient::RemoteDatabaseClient(ClientId id, RemoteClientOptions opts)
-    : id_(id), opts_(opts), cost_model_(opts.cost), cache_(opts.cache),
-      inbox_(opts.inbox) {}
+    : id_(id), opts_(opts), cache_(opts.cache) {}
 
 Result<std::unique_ptr<RemoteDatabaseClient>> RemoteDatabaseClient::Connect(
     const std::string& host, uint16_t port, ClientId id,
@@ -45,7 +51,7 @@ Result<std::unique_ptr<RemoteDatabaseClient>> RemoteDatabaseClient::Connect(
   client->host_ = host;
   client->port_ = port;
   IDBA_ASSIGN_OR_RETURN(client->sock_,
-                        Socket::ConnectTo(host, port, opts.connect_timeout_ms));
+                        Socket::ConnectTo(host, port, kConnectTimeoutMs));
   client->connected_.store(true);
   RemoteDatabaseClient* raw = client.get();
   client->reader_ = std::thread([raw] { raw->ReaderLoop(); });
@@ -104,29 +110,25 @@ Status RemoteDatabaseClient::Reconnect(int max_attempts) {
     std::lock_guard<std::mutex> lock(read_sets_mu_);
     read_sets_.clear();
   }
-  int64_t backoff = std::max<int64_t>(opts_.reconnect_backoff_ms, 1);
-  const int64_t backoff_cap = std::max<int64_t>(
-      opts_.reconnect_backoff_cap_ms, backoff);
+  int64_t backoff = kReconnectBackoffMs;
   // Deterministic per client and per reconnect episode, so tests replay
   // exactly while distinct clients still spread their re-dials.
   Rng jitter_rng(id_ * 0x9E3779B97F4A7C15ULL + reconnects_.Get() + 1);
   // An Overloaded rejection's retry-after hint floors the first sleep: the
   // server told us when it wants to hear from us again.
   const int64_t hint = retry_after_hint_ms_.load(std::memory_order_relaxed);
-  if (hint > backoff) backoff = std::min(hint, backoff_cap);
+  if (hint > backoff) backoff = std::min(hint, kReconnectBackoffCapMs);
   Status last = Status::IOError("reconnect: no attempts made");
   for (int attempt = 0; attempt < std::max(max_attempts, 1); ++attempt) {
     if (attempt > 0) {
       // Equal-jitter: uniform in [backoff/2, backoff] keeps the expected
       // wait growing exponentially while decorrelating a thundering herd.
-      int64_t sleep_ms = opts_.reconnect_jitter && backoff > 1
-                             ? jitter_rng.NextInRange(backoff / 2, backoff)
-                             : backoff;
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-      backoff = std::min<int64_t>(backoff * 2, backoff_cap);
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          jitter_rng.NextInRange(backoff / 2, backoff)));
+      backoff = std::min<int64_t>(backoff * 2, kReconnectBackoffCapMs);
     }
     Result<Socket> fresh =
-        Socket::ConnectTo(host_, port_, opts_.connect_timeout_ms);
+        Socket::ConnectTo(host_, port_, kConnectTimeoutMs);
     if (!fresh.ok()) {
       last = fresh.status();
       IDBA_LOG_FIELDS(LogLevel::kWarn, "client", "reconnect attempt failed",

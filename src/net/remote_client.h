@@ -16,14 +16,14 @@
 // while this client's user thread is itself blocked inside Commit().
 //
 // Failure handling: every RPC is bounded by rpc_deadline_ms (late
-// responses are dropped); connects are bounded by connect_timeout_ms; an
+// responses are dropped); connects are bounded by a fixed 5 s; an
 // optional heartbeat thread PINGs the server every heartbeat_interval_ms
 // and declares the connection dead when pings stop answering (half-open
 // detection). When the connection dies, pending non-commit calls fail
 // with IOError, but a commit in flight fails with Status::Unknown — its
 // outcome is genuinely indeterminate (the server may have applied it
 // before the connection broke), and callers like RunTransaction must
-// decide whether re-applying is safe. Reconnect() re-dials with
+// decide whether re-applying is safe. Reconnect() re-dials with jittered
 // exponential backoff, re-handshakes under the same client id, replaces
 // the schema snapshot, and drops the object cache (the dead session's
 // copy registrations are gone).
@@ -33,7 +33,9 @@
 // the *measured* frame sizes, which the client clock Observes. Locally
 // the client mirrors DatabaseClient exactly: avoidance cache hits inside
 // update transactions still take the lock-only round trip, detection mode
-// keeps optimistic read sets and validates at commit.
+// keeps optimistic read sets and validates at commit. Client-local virtual
+// charges use the default CostModel, the only one idba_serve runs, so the
+// client and server timelines agree.
 
 #pragma once
 
@@ -58,31 +60,14 @@ struct RemoteClientOptions {
   ConsistencyMode consistency = ConsistencyMode::kAvoidance;
   /// Send NoteEvicted one-way frames when the cache drops entries.
   bool report_evictions = true;
-  /// Cost model for client-local virtual charges (DLC dispatch CPU); must
-  /// match the server's so virtual timelines agree.
-  CostModelOptions cost;
   /// Upper bound on one RPC round trip (request out to response in). On
   /// expiry the call returns Status::TimedOut and the (late) response is
   /// dropped when it eventually arrives. 0 = wait forever.
   int64_t rpc_deadline_ms = 30000;
-  /// Upper bound on establishing the TCP connection. 0 = blocking connect.
-  int64_t connect_timeout_ms = 5000;
   /// When > 0, a heartbeat thread issues a PING every interval; a ping
   /// that misses the RPC deadline (or the interval, whichever is smaller)
   /// marks the connection dead, unblocking every pending call. 0 = off.
   int64_t heartbeat_interval_ms = 0;
-  /// Initial backoff between Reconnect() attempts; doubles per attempt.
-  int64_t reconnect_backoff_ms = 50;
-  /// Ceiling for the exponential reconnect backoff.
-  int64_t reconnect_backoff_cap_ms = 2000;
-  /// Jitter the reconnect sleeps (equal-jitter: uniform in
-  /// [backoff/2, backoff]) so a fleet of clients dropped by one server
-  /// restart does not re-dial in lockstep. Deterministic per client id.
-  bool reconnect_jitter = true;
-  /// Bounds for the notification inbox (0 = unbounded, the default).
-  /// Bounding it adds the coalesce/shed/resync degradation ladder for
-  /// clients whose pump cannot keep up (see net/inbox.h).
-  InboxOptions inbox;
 };
 
 class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
@@ -98,12 +83,15 @@ class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
   RemoteDatabaseClient(const RemoteDatabaseClient&) = delete;
   RemoteDatabaseClient& operator=(const RemoteDatabaseClient&) = delete;
 
-  /// Re-establishes a dead connection: re-dials (with exponential
-  /// backoff across `max_attempts`), re-handshakes under the same client
-  /// id, replaces the schema snapshot with the server's current catalog,
-  /// and drops the local object cache — the old session's copy
-  /// registrations died with the old connection, so cached copies are no
-  /// longer protected by callbacks.
+  /// Re-establishes a dead connection: re-dials (with exponential backoff
+  /// across `max_attempts`: 50 ms doubling to a 2 s cap, each sleep
+  /// jittered uniformly into [backoff/2, backoff], deterministically per
+  /// client id, so a fleet dropped by one server restart does not re-dial
+  /// in lockstep), re-handshakes under the same client id, replaces the
+  /// schema snapshot with the server's current catalog, and drops the
+  /// local object cache — the old session's copy registrations died with
+  /// the old connection, so cached copies are no longer protected by
+  /// callbacks.
   ///
   /// Caller contract: quiesce RPC-issuing threads first (calls issued
   /// while disconnected fail fast with IOError, but calls concurrent with

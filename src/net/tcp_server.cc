@@ -20,10 +20,8 @@ namespace {
 /// WarnLimiter interval: at most one WARN line per stream per 5 s.
 constexpr int64_t kWarnLogIntervalUs = 5'000'000;
 /// Per-connection bound on queued outbound notifications. When full and
-/// the backlog will not coalesce, the slow-subscriber policy applies.
+/// the backlog will not coalesce, it is shed and the client owes a resync.
 constexpr size_t kMaxNotifyQueue = 256;
-/// kDisconnect only: overflow count after which the client is dropped.
-constexpr uint64_t kSlowSubscriberDisconnectAfter = 8;
 /// Bound on invalidation CALLBACKs queued to one client. A client that
 /// cannot drain even its callbacks is marked stale (forced resync) and the
 /// committing writers proceed without waiting.
@@ -74,8 +72,7 @@ struct TransportServer::Connection
   /// Registered on the bus under the client's endpoint id after Hello;
   /// FlushNotifies (on the loop thread) forwards its envelopes as NOTIFY
   /// frames. Bounded: the delivering writer never blocks on this client's
-  /// socket, and a backlog beyond the bound escalates per the
-  /// slow-subscriber policy.
+  /// socket, and a backlog beyond the bound is shed for a forced resync.
   Inbox notify_inbox;
 
   /// The client owes a full resync: its notify backlog overflowed, a
@@ -259,7 +256,6 @@ TransportServer::TransportServer(DatabaseServer* server,
   notify_shed_.BindGlobal(reg.GetCounter("overload.notify_shed"));
   notify_overflows_.BindGlobal(reg.GetCounter("overload.notify_overflows"));
   forced_resyncs_.BindGlobal(reg.GetCounter("overload.forced_resyncs"));
-  slow_disconnects_.BindGlobal(reg.GetCounter("overload.slow_disconnects"));
   callbacks_elided_.BindGlobal(reg.GetCounter("overload.callbacks_elided"));
   callback_timeouts_.BindGlobal(
       reg.GetCounter("overload.callback_ack_timeouts"));
@@ -720,9 +716,6 @@ void TransportServer::WriteOverloadedResponse(Connection* conn,
 InboxOptions TransportServer::NotifyInboxOptions(Connection* conn) {
   InboxOptions in;
   in.max_pending = kMaxNotifyQueue;
-  // kCoalesce never escalates: full + non-coalescible drops the oldest.
-  in.drop_oldest_on_full =
-      opts_.slow_subscriber_policy == SlowSubscriberPolicy::kCoalesce;
   in.coalesced_metric = &notify_coalesced_;
   in.shed_metric = &notify_shed_;
   in.overflow_metric = &notify_overflows_;
@@ -730,18 +723,10 @@ InboxOptions TransportServer::NotifyInboxOptions(Connection* conn) {
   // in WaitNext — every delivery posts one (deduplicated) flush.
   in.wakeup_hook = [conn] { conn->WakeNotify(); };
   // Runs on the *delivering* thread (a committing writer's worker, outside
-  // the inbox lock). It must never take connection-table locks or join
-  // threads: marking stale is a pair of atomic stores, and the disconnect
-  // escalation only shuts the socket down — the I/O loop then observes the
-  // EOF and runs the full Teardown.
-  in.overflow_hook = [this, conn](uint64_t overflow_count) {
-    conn->stale.store(true);
-    if (opts_.slow_subscriber_policy == SlowSubscriberPolicy::kDisconnect &&
-        overflow_count >= kSlowSubscriberDisconnectAfter) {
-      slow_disconnects_.Add();
-      if (conn->conn) conn->conn->Kill();
-    }
-  };
+  // the inbox lock), so it must never take connection-table locks or join
+  // threads. Marking stale is one atomic store: invalidation callbacks stop
+  // at once, before the flush gets to queue the RESYNC frame.
+  in.overflow_hook = [conn](uint64_t) { conn->stale.store(true); };
   return in;
 }
 

@@ -31,6 +31,11 @@
 // (trace context + envelope metadata) stitched to the shared body by
 // writev. transport.fanout.{encodes,reuses} count the effect.
 //
+// Slow subscribers (DESIGN.md §9): each connection's NOTIFY stream is a
+// bounded inbox (256 notifications) that first coalesces, then sheds its
+// whole backlog for one forced RESYNC. Memory stays bounded, so a slow
+// connection is never dropped for being slow.
+//
 // Virtual cost: each metered request charges the shared RpcMeter with the
 // *measured* frame byte counts (header + payload, both directions) against
 // the server's virtual CPU clock, and the response carries the virtual
@@ -59,24 +64,6 @@
 #include "server/database_server.h"
 
 namespace idba {
-
-/// How far the server escalates against a subscriber that cannot keep up
-/// with its NOTIFY stream (DESIGN.md §9). Every policy starts by
-/// coalescing queued notifications (latest-version-wins).
-enum class SlowSubscriberPolicy {
-  /// Never force a resync: when the bounded queue is full and the backlog
-  /// will not coalesce, drop the *oldest* notification. Weakest guarantee
-  /// (a display whose dropped notification is never followed by another
-  /// update stays stale), but no client ever sees a forced refetch.
-  kCoalesce,
-  /// Default: on overflow, shed the whole backlog and send one RESYNC
-  /// notification; the client refetches displayed state (degraded but
-  /// eventually consistent, memory strictly bounded).
-  kResync,
-  /// Like kResync, but a client that forces more than 8 overflows is
-  /// disconnected.
-  kDisconnect,
-};
 
 struct TransportServerOptions {
   /// TCP port; 0 binds an ephemeral port (see port() after Start).
@@ -120,9 +107,6 @@ struct TransportServerOptions {
   size_t max_inflight = 1024;
   /// Retry-after hint carried in Overloaded responses.
   int64_t overload_retry_after_ms = 50;
-  /// Escalation ladder for subscribers that overflow their bounded notify
-  /// queue (256 notifications per connection).
-  SlowSubscriberPolicy slow_subscriber_policy = SlowSubscriberPolicy::kResync;
 };
 
 /// Hosts one deployment (server + DLM + bus + meter) behind a socket.
@@ -180,15 +164,13 @@ class TransportServer {
   size_t inflight() const { return inflight_.load(); }
   /// Notifications merged into an already-queued one (latest-version-wins).
   uint64_t notifications_coalesced() const { return notify_coalesced_.Get(); }
-  /// Notifications dropped for slow subscribers (overflow shed +
-  /// drop-oldest under kCoalesce policy).
+  /// Notifications dropped for slow subscribers (the backlog shed at an
+  /// overflow, plus deliveries until the client's resync).
   uint64_t notifications_shed() const { return notify_shed_.Get(); }
   /// Notify-queue overflows (each one forces a resync).
   uint64_t notify_overflows() const { return notify_overflows_.Get(); }
   /// RESYNC notifications sent to clients whose backlog was shed.
   uint64_t forced_resyncs() const { return forced_resyncs_.Get(); }
-  /// Connections dropped by the kDisconnect escalation.
-  uint64_t slow_disconnects() const { return slow_disconnects_.Get(); }
   /// Invalidation CALLBACKs skipped because the client was already marked
   /// stale (a pending resync clears its whole cache anyway).
   uint64_t callbacks_elided() const { return callbacks_elided_.Get(); }
@@ -253,8 +235,8 @@ class TransportServer {
 
   void HandleFrame(Connection* conn, const wire::FrameHeader& header,
                    const std::vector<uint8_t>& payload, int64_t enqueued_us);
-  /// Builds the bounded notify-inbox options for one connection (policy,
-  /// watermarks, escalation hook, metric mirrors).
+  /// Builds the bounded notify-inbox options for one connection (bound,
+  /// stale-marking overflow hook, flush wakeup, metric mirrors).
   InboxOptions NotifyInboxOptions(Connection* conn);
   /// Admission control: true when `header`'s request must be shed instead
   /// of queued (queue bound or in-flight cap hit, and the method is not
@@ -307,7 +289,7 @@ class TransportServer {
   MirroredCounter fanout_encodes_, fanout_reuses_;
   MirroredCounter overload_rejections_, oneway_shed_;
   MirroredCounter notify_coalesced_, notify_shed_, notify_overflows_;
-  MirroredCounter forced_resyncs_, slow_disconnects_;
+  MirroredCounter forced_resyncs_;
   MirroredCounter callbacks_elided_, callback_timeouts_, callback_overflows_;
   std::atomic<size_t> inflight_{0};
   /// Enqueue-to-run latency of worker dispatches (worker.dispatch_lag_us).

@@ -8,9 +8,7 @@ namespace idba {
 Result<std::unique_ptr<WorkloadRunner>> WorkloadRunner::Create(
     WorkloadConfig config) {
   auto runner = std::unique_ptr<WorkloadRunner>(new WorkloadRunner(config));
-  DeploymentOptions dopts = config.deployment;
-  dopts.server.integrated_display_locks = dopts.dlm.integrated;
-  runner->deployment_ = std::make_unique<Deployment>(dopts);
+  runner->deployment_ = std::make_unique<Deployment>(config.deployment);
   IDBA_ASSIGN_OR_RETURN(
       runner->db_, PopulateNms(&runner->deployment_->server(), config.network));
   IDBA_ASSIGN_OR_RETURN(

@@ -28,9 +28,6 @@ Watchdog::Watchdog(WatchdogOptions opts)
     : opts_(std::move(opts)),
       stalls_total_(GlobalMetrics().GetCounter("health.stalls_total")) {
   opts_.threshold_ms = std::max<int64_t>(opts_.threshold_ms, 10);
-  if (opts_.poll_ms <= 0) {
-    opts_.poll_ms = std::max<int64_t>(opts_.threshold_ms / 4, 5);
-  }
 }
 
 Watchdog::~Watchdog() { Stop(); }
@@ -59,8 +56,11 @@ uint64_t Watchdog::stalls() const {
 void Watchdog::Main() {
   RegisterThisThread("watchdog", /*samplable=*/false);
   Seen seen[kMaxThreadSlots];
-  const timespec poll{opts_.poll_ms / 1000,
-                      (opts_.poll_ms % 1000) * 1'000'000};
+  // Polling at a quarter of the threshold lands detection between 1x and
+  // ~1.5x threshold, comfortably under the 2x bound the watchdog test
+  // asserts.
+  const int64_t period_ms = std::max<int64_t>(opts_.threshold_ms / 4, 5);
+  const timespec poll{period_ms / 1000, (period_ms % 1000) * 1'000'000};
   while (!stop_.load(std::memory_order_acquire)) {
     timespec left = poll;
     while (::nanosleep(&left, &left) != 0 && errno == EINTR) {

@@ -28,12 +28,9 @@ class Counter;
 namespace obs {
 
 struct WatchdogOptions {
-  /// A working thread whose epoch is frozen this long is stalled.
+  /// A working thread whose epoch is frozen this long is stalled. The
+  /// watchdog polls every threshold_ms / 4 (at least 5 ms).
   int64_t threshold_ms = 1000;
-  /// Poll period; 0 derives threshold_ms / 4 (detection therefore lands
-  /// between 1x and ~1.5x threshold, comfortably under the 2x bound the
-  /// watchdog test asserts).
-  int64_t poll_ms = 0;
   /// When non-empty, each stall also writes a flight dump here.
   std::string flight_dump_path;
   /// Test/installer hook, called after the standard reporting.

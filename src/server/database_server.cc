@@ -4,16 +4,8 @@
 
 namespace idba {
 
-namespace {
-// Integrated display locks are owned by clients, not transactions; shift
-// client ids into a disjoint owner-id space.
-constexpr LockOwnerId kDisplayOwnerBase = 1ULL << 62;
-LockOwnerId DisplayOwner(ClientId client) { return kDisplayOwnerBase + client; }
-}  // namespace
-
 DatabaseServer::DatabaseServer(DatabaseServerOptions opts)
-    : opts_(opts),
-      owned_data_disk_(std::make_unique<MemDisk>()),
+    : owned_data_disk_(std::make_unique<MemDisk>()),
       owned_wal_disk_(std::make_unique<MemDisk>()) {
   pool_ = std::make_unique<BufferPool>(owned_data_disk_.get(), opts.buffer_pool);
   heap_ = std::move(HeapStore::Open(pool_.get(), 0).value());
@@ -23,8 +15,7 @@ DatabaseServer::DatabaseServer(DatabaseServerOptions opts)
 }
 
 DatabaseServer::DatabaseServer(Disk* data_disk, Disk* wal_disk,
-                               PageId data_page_count, DatabaseServerOptions opts)
-    : opts_(opts) {
+                               PageId data_page_count, DatabaseServerOptions opts) {
   pool_ = std::make_unique<BufferPool>(data_disk, opts.buffer_pool);
   heap_ = std::move(HeapStore::Open(pool_.get(), data_page_count).value());
   wal_ = std::make_unique<Wal>(wal_disk);
@@ -95,7 +86,6 @@ void DatabaseServer::ConnectClient(ClientId client,
 
 void DatabaseServer::DisconnectClient(ClientId client) {
   callbacks_.UnregisterClient(client);
-  lock_manager().ReleaseAll(DisplayOwner(client));
 }
 
 TxnId DatabaseServer::Begin(ClientId client) {
@@ -329,20 +319,6 @@ void DatabaseServer::AddIntentObserver(IntentObserver obs) {
 void DatabaseServer::AddAbortObserver(AbortObserver obs) {
   std::lock_guard<std::mutex> lock(mu_);
   abort_observers_.push_back(std::move(obs));
-}
-
-Status DatabaseServer::DisplayLock(ClientId client, Oid oid) {
-  if (!opts_.integrated_display_locks) {
-    return Status::NotSupported("server built without integrated display locks");
-  }
-  return lock_manager().Lock(DisplayOwner(client), oid, LockMode::kD);
-}
-
-Status DatabaseServer::DisplayUnlock(ClientId client, Oid oid) {
-  if (!opts_.integrated_display_locks) {
-    return Status::NotSupported("server built without integrated display locks");
-  }
-  return lock_manager().Unlock(DisplayOwner(client), oid);
 }
 
 Status DatabaseServer::Checkpoint() {

@@ -1,5 +1,8 @@
 // The database server: storage + transactions + client cache consistency,
-// with hooks for the Display Lock Manager.
+// with hooks for the Display Lock Manager. Display locks themselves live
+// only in the DLM's table (core/dlm.h), in both the agent and the
+// integrated deployment; the server reports commits, update intentions
+// and aborts to it through the observers below.
 //
 // Clients call these methods directly (the in-process stand-in for RPC);
 // each call reports its request/response byte sizes and physical page
@@ -32,10 +35,6 @@ namespace idba {
 struct DatabaseServerOptions {
   BufferPoolOptions buffer_pool;
   TxnManagerOptions txn;
-  /// When true, the server-side lock manager also records display locks
-  /// (the "integrated" deployment of §4.1); when false, display locking
-  /// lives exclusively in the DLM agent. E3 compares the two.
-  bool integrated_display_locks = false;
 };
 
 /// Virtual cost ingredients of one server call.
@@ -132,11 +131,6 @@ class DatabaseServer {
   void AddIntentObserver(IntentObserver obs);
   void AddAbortObserver(AbortObserver obs);
 
-  /// Integrated-mode display lock entry points (§4.1 "extending the
-  /// server"): requires opts.integrated_display_locks.
-  Status DisplayLock(ClientId client, Oid oid);
-  Status DisplayUnlock(ClientId client, Oid oid);
-
   // --- Introspection ----------------------------------------------------
   TxnManager& txn_manager() { return *txn_mgr_; }
   LockManager& lock_manager() { return txn_mgr_->lock_manager(); }
@@ -171,7 +165,6 @@ class DatabaseServer {
   void WireHooks();
   static int64_t RequestHeaderBytes() { return 32; }
 
-  DatabaseServerOptions opts_;
   std::unique_ptr<Disk> owned_data_disk_;
   std::unique_ptr<Disk> owned_wal_disk_;
   std::unique_ptr<BufferPool> pool_;

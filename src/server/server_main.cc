@@ -16,7 +16,8 @@
 //                     only safe when clients heartbeat faster than this)
 //   --eager           DLM ships new object images inside notifications
 //   --early-notify    DLM sends update-intention notices at X-lock time
-//   --integrated      integrated DLM deployment (server-side D locks)
+//   --integrated      integrated DLM deployment (no agent hops between the
+//                     server's commit hooks and the DLM)
 //   --trace [N]       record server-side trace spans (sample 1-in-N roots,
 //                     default every root); dump via `idba_stat --trace`
 //   --slow-rpc-ms N   log + ring-buffer RPCs slower than N ms (default 250,
@@ -37,9 +38,6 @@
 //   --worker-threads N
 //                     request-execution pool size (default 0 = auto:
 //                     max(cores, 4)); echoed in STATS
-//   --slow-subscriber-policy coalesce|resync|disconnect
-//                     escalation for clients that cannot drain their
-//                     NOTIFY stream (default resync; see DESIGN.md §9)
 //   --wal-group-commit-us N
 //                     group-commit window: the WAL flush leader lingers up
 //                     to N microseconds for more committers before paying
@@ -136,7 +134,6 @@ int main(int argc, char** argv) {
   std::string audit_mode_text = "off";
   long staleness_slo_ms = 100;  // visibility SLO window (virtual ms)
   std::string flight_dump_path;
-  std::string slow_subscriber_policy;
   std::string data_dir;
   long checkpoint_interval_ms = 0;
   long long checkpoint_wal_bytes = 0;
@@ -154,7 +151,6 @@ int main(int argc, char** argv) {
       dep_opts.dlm.protocol = idba::NotifyProtocol::kEarlyNotify;
     } else if (std::strcmp(argv[i], "--integrated") == 0) {
       dep_opts.dlm.integrated = true;
-      dep_opts.server.integrated_display_locks = true;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace = true;
       // Optional 1-in-N sample rate; bare --trace records every root.
@@ -192,18 +188,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--wal-group-commit-us") == 0 &&
                i + 1 < argc) {
       dep_opts.server.txn.group_commit_window_us = std::atol(argv[++i]);
-    } else if (std::strcmp(argv[i], "--slow-subscriber-policy") == 0 &&
-               i + 1 < argc) {
-      slow_subscriber_policy = argv[++i];
-      if (slow_subscriber_policy != "coalesce" &&
-          slow_subscriber_policy != "resync" &&
-          slow_subscriber_policy != "disconnect") {
-        std::fprintf(stderr,
-                     "--slow-subscriber-policy must be coalesce, resync or "
-                     "disconnect (got \"%s\")\n",
-                     slow_subscriber_policy.c_str());
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--audit") == 0 && i + 1 < argc) {
       audit_mode_text = argv[++i];
     } else if (std::strncmp(argv[i], "--audit=", 8) == 0) {
@@ -224,7 +208,6 @@ int main(int argc, char** argv) {
                    "[--watchdog-ms N] [--flight-dump PATH] "
                    "[--data-dir PATH] [--checkpoint-interval-ms N] "
                    "[--checkpoint-wal-bytes N] "
-                   "[--slow-subscriber-policy coalesce|resync|disconnect] "
                    "[--audit off|track|strict] [--staleness-slo-ms N]\n",
                    argv[0]);
       return 2;
@@ -325,13 +308,6 @@ int main(int argc, char** argv) {
   if (worker_threads > 0) {
     transport_opts.worker_threads = static_cast<int>(worker_threads);
   }
-  if (slow_subscriber_policy == "coalesce") {
-    transport_opts.slow_subscriber_policy =
-        idba::SlowSubscriberPolicy::kCoalesce;
-  } else if (slow_subscriber_policy == "disconnect") {
-    transport_opts.slow_subscriber_policy =
-        idba::SlowSubscriberPolicy::kDisconnect;
-  }  // "resync" (and unset) keep the default
   idba::TransportServer transport(server, dlm, bus, meter, transport_opts);
   transport.set_checkpointer(&checkpointer);
   checkpointer.Start();

@@ -139,13 +139,10 @@ Wal::Wal(Disk* disk) : disk_(disk) {
       start_page_ = GetU64At(page0, kPageCrcSize + 6);
       truncate_below_lsn_ = GetU64At(page0, kPageCrcSize + 14);
       header_dirty_ = false;
-    } else if (st.ok()) {
-      // Pre-header-layout log: records start at page 0 and there is
-      // nowhere to put a header without clobbering them.
-      start_page_ = 0;
-      legacy_layout_ = true;
-      header_dirty_ = false;
     }
+    // Otherwise the header is still owed — a torn first flush can lose it,
+    // and an all-zero page passes its checksum. Records start at page 1
+    // (the defaults) and the next flush or truncation writes the header.
     PageId resume = start_page_;
     auto existing = ReadAllFromDisk(disk_, nullptr, &resume);
     if (existing.ok() && !existing.value().empty()) {
@@ -353,7 +350,7 @@ Result<std::vector<WalRecord>> Wal::ReadAllFromDisk(Disk* disk,
   std::vector<WalRecord> out;
   if (disk->PageCount() == 0) return out;
 
-  PageId start = 0;
+  PageId start = 1;
   Lsn horizon = 0;
   {
     PageData page0;
@@ -365,7 +362,7 @@ Result<std::vector<WalRecord>> Wal::ReadAllFromDisk(Disk* disk,
       start = GetU64At(page0, kPageCrcSize + 6);
       horizon = GetU64At(page0, kPageCrcSize + 14);
     }
-    // No magic: pre-header layout, scan from page 0.
+    // No magic: the header write was lost; records start at page 1.
   }
   if (truncate_below != nullptr) *truncate_below = horizon;
   if (resume_page != nullptr) *resume_page = start;
@@ -403,7 +400,6 @@ Status Wal::Reset() {
   cur_used_ = 0;
   tail_dirty_ = false;
   header_dirty_ = true;
-  legacy_layout_ = false;
   truncate_below_lsn_ = 0;
   bytes_at_truncate_ = appended_bytes_;
   pending_.clear();
@@ -419,7 +415,6 @@ Status Wal::TruncateUpTo(Lsn upto, TruncateStats* stats) {
   // ours for the duration, while Append() keeps buffering into pending_.
   std::unique_lock<std::mutex> lk(mu_);
   cv_.wait(lk, [&] { return !flush_in_progress_; });
-  if (legacy_layout_) return Status::OK();
   if (upto > durable_lsn_) {
     return Status::InvalidArgument("TruncateUpTo beyond the durable horizon");
   }

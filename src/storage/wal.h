@@ -18,7 +18,9 @@
 //
 // On-disk format: the WAL owns its own Disk. Page 0 is a header page
 // ({magic "IWAL", version, start_page, truncate_below_lsn}); record pages
-// follow from start_page. Records are packed back-to-back into pages as
+// follow from start_page. A page 0 without the magic is a header write
+// that was lost (an all-zero page passes its checksum): records are read
+// from page 1 and the header is rewritten on the next flush. Records are packed back-to-back into pages as
 // [u32 length][payload]; a zero length terminates a page (the tail
 // continues on the next page only when a record is split, which we avoid
 // by starting oversized records on a fresh page — records larger than a
@@ -123,7 +125,8 @@ class Wal {
   /// their effects durable in the data pages. Survivors are copied forward
   /// (two-hop: first past the live tail, then — when it fits — back to the
   /// front so the disk can physically shrink); appends keep running
-  /// throughout. No-op on logs predating the header-page layout.
+  /// throughout. Writes the header page, so a log whose header was lost
+  /// in a torn first flush truncates like any other.
   Status TruncateUpTo(Lsn upto, TruncateStats* stats = nullptr);
 
   /// Truncation horizon: every record with LSN <= this has been dropped
@@ -193,12 +196,10 @@ class Wal {
   /// a failed batch so the next flush rewrites it; never set by a clean
   /// flush, which is what makes empty Flush() calls free).
   bool tail_dirty_ = false;
-  /// True until the header page has been written (fresh or Reset logs);
-  /// the next PackAndSync writes it before the record pages.
+  /// True until the header page has been written (fresh or Reset logs,
+  /// or a resumed log whose header was lost); the next PackAndSync writes
+  /// it before the record pages.
   bool header_dirty_ = true;
-  /// Disk predates the header-page layout (records start at page 0);
-  /// TruncateUpTo is a no-op for such logs.
-  bool legacy_layout_ = false;
   Lsn truncate_below_lsn_ = 0;
   uint64_t bytes_at_truncate_ = 0;  // appended_bytes_ at last TruncateUpTo
 

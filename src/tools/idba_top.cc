@@ -213,15 +213,13 @@ void RenderFrame(const std::string& target, const PromSamples& cur,
 
   // --- overload ladder ---------------------------------------------------
   std::printf("\nOVERLOAD   rejected %.0f   oneway shed %.0f   coalesced %.0f"
-              "   notify shed %.0f   overflows %.0f   forced resyncs %.0f"
-              "   slow disconnects %.0f\n",
+              "   notify shed %.0f   overflows %.0f   forced resyncs %.0f\n",
               DeltaOf(cur, prev, "idba_overload_rejections_total"),
               DeltaOf(cur, prev, "idba_overload_oneway_shed_total"),
               DeltaOf(cur, prev, "idba_overload_notify_coalesced_total"),
               DeltaOf(cur, prev, "idba_overload_notify_shed_total"),
               DeltaOf(cur, prev, "idba_overload_notify_overflows_total"),
-              DeltaOf(cur, prev, "idba_overload_forced_resyncs_total"),
-              DeltaOf(cur, prev, "idba_overload_slow_disconnects_total"));
+              DeltaOf(cur, prev, "idba_overload_forced_resyncs_total"));
 
   // --- consistency auditor ----------------------------------------------
   {

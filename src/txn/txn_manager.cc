@@ -5,12 +5,12 @@
 namespace idba {
 
 TxnManager::TxnManager(HeapStore* heap, Wal* wal, TxnManagerOptions opts)
-    : heap_(heap), wal_(wal), opts_(opts), locks_(opts.lock_options) {
+    : heap_(heap), wal_(wal) {
   // Never hand out an OID that already exists (e.g. after restart/recovery).
   uint64_t max_oid = 0;
   for (Oid oid : heap_->AllOids()) max_oid = std::max(max_oid, oid.value);
   next_oid_.store(max_oid + 1);
-  wal_->set_group_commit_window_us(opts_.group_commit_window_us);
+  wal_->set_group_commit_window_us(opts.group_commit_window_us);
 }
 
 TxnId TxnManager::Begin() {
@@ -208,7 +208,7 @@ Result<CommitResult> TxnManager::Commit(TxnId txn) {
   //     the Wal (group commit); on failure the transaction never became
   //     durable, so abort it cleanly — releasing the X locks, which the
   //     pre-group-commit code leaked, hanging every later reader.
-  if (opts_.durable_commit) {
+  {
     IDBA_TRACE_SPAN("storage.wal_flush");
     Status st = wal_->WaitDurable(commit_lsn.value());
     if (!st.ok()) return FailCommit(txn, t, st);

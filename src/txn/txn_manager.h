@@ -50,9 +50,6 @@ using XLockHook = std::function<void(TxnId, Oid)>;
 using AbortHook = std::function<void(TxnId)>;
 
 struct TxnManagerOptions {
-  LockManagerOptions lock_options;
-  /// Force the WAL at commit (disable only in throughput microbenches).
-  bool durable_commit = true;
   /// Group-commit window: how long the WAL flush leader lingers for more
   /// committers before paying the sync (applied to the Wal at construction;
   /// 0 = flush immediately, batching then comes from sync backpressure).
@@ -120,7 +117,6 @@ class TxnManager {
 
   TxnState GetState(TxnId txn) const;
   LockManager& lock_manager() { return locks_; }
-  const TxnManagerOptions& options() const { return opts_; }
 
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
   void set_xlock_hook(XLockHook hook) { xlock_hook_ = std::move(hook); }
@@ -152,7 +148,6 @@ class TxnManager {
 
   HeapStore* heap_;
   Wal* wal_;
-  TxnManagerOptions opts_;
   LockManager locks_;
   CommitHook commit_hook_;
   XLockHook xlock_hook_;

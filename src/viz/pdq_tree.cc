@@ -68,11 +68,6 @@ double LayoutRec(const PdqNode& node, int level, int parent_index,
   PdqLayoutNode& me2 = st->out->nodes[my_index];
   me2.position = Point{level * st->opts->level_spacing, y};
   me2.pruned_descendants = pruned_here;
-  bool all_children_pruned = !node.is_leaf() && surviving_children == 0;
-  if (all_children_pruned && !st->opts->keep_stubs) {
-    // Caller asked not to keep context stubs, but the node itself passed
-    // its queries; it stays visible as a plain leaf.
-  }
   me2.visible = true;
   st->out->visible_count += 1;
   return y;

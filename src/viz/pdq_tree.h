@@ -63,8 +63,6 @@ struct PdqLayoutNode {
 struct PdqOptions {
   double level_spacing = 12.0;
   double row_spacing = 2.0;
-  /// Keep a stub marker on nodes whose entire subtree was pruned away.
-  bool keep_stubs = true;
 };
 
 /// Result of a layout pass.

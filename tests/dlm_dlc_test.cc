@@ -12,7 +12,10 @@ class DlmDlcTest : public ::testing::Test {
   void Init(DlmOptions dlm_opts = {}) {
     DeploymentOptions opts;
     opts.dlm = dlm_opts;
-    opts.server.integrated_display_locks = dlm_opts.integrated;
+    InitWith(opts);
+  }
+
+  void InitWith(const DeploymentOptions& opts) {
     deployment_ = std::make_unique<Deployment>(opts);
     NmsConfig config;
     config.num_nodes = 8;
@@ -273,19 +276,33 @@ TEST_F(DlmDlcTest, WriterDoesNotGetIntentNotifyForItself) {
   ASSERT_TRUE(writer->client().Commit(t).ok());
 }
 
-TEST_F(DlmDlcTest, IntegratedModeRecordsDLocksInServerLockManager) {
-  Init(DlmOptions{.integrated = true});
+TEST_F(DlmDlcTest, IntegratedModeKeepsDLocksInTheDlmTable) {
+  // The DLM switch alone selects the integrated deployment: no server
+  // option has to agree with it.
+  DeploymentOptions opts;
+  opts.dlm.integrated = true;
+  InitWith(opts);
   auto viewer = deployment_->NewSession(100);
+  auto writer = deployment_->NewSession(101);
   ActiveView* view = viewer->CreateView("links");
   const DisplayClassDef* dc =
       deployment_->display_schema().Find(dcs_.color_coded_link);
   Oid oid = db_.link_oids[0];
   ASSERT_TRUE(view->Materialize(dc, {oid}).ok());
-  EXPECT_EQ(deployment_->server().lock_manager().DisplayLockHolders(oid).size(),
-            1u);
+  EXPECT_EQ(deployment_->dlm().holder_count(oid), 1u);
+
+  UpdateLink(&writer->client(), oid, 0.95);
+  EXPECT_EQ(viewer->PumpOnce(), 1);
+  EXPECT_EQ(view->refreshes(), 1u);
+  EXPECT_EQ(deployment_->dlm().update_reports(), 0u);  // no agent hops
+
+  // The DLM table is the one store of D locks: the lock manager holds no
+  // copy, so LOCKS lists each display lock once.
+  LockManager& locks = deployment_->server().lock_manager();
+  EXPECT_TRUE(locks.DumpTable().entries.empty());
   view->Close();
-  EXPECT_EQ(deployment_->server().lock_manager().DisplayLockHolders(oid).size(),
-            0u);
+  EXPECT_EQ(deployment_->dlm().holder_count(oid), 0u);
+  EXPECT_TRUE(locks.DumpTable().entries.empty());
 }
 
 TEST_F(DlmDlcTest, BatchedCommitYieldsSingleNotification) {

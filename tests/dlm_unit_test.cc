@@ -16,7 +16,6 @@ class DlmUnitTest : public ::testing::Test {
   void Init(DlmOptions opts = {}) {
     DeploymentOptions dopts;
     dopts.dlm = opts;
-    dopts.server.integrated_display_locks = opts.integrated;
     deployment_ = std::make_unique<Deployment>(dopts);
     NmsConfig config;
     config.num_nodes = 6;

@@ -88,8 +88,8 @@ TEST(GroupCommitRecoveryTest, AppendedButUnflushedRecordsAreNotRecovered) {
   TxnManager mgr(heap.get(), &wal);
 
   // One durable commit, then a transaction whose records are appended but
-  // never synced (durable_commit = true would flush; emulate the kill point
-  // between the append phase and the durability barrier via the Wal).
+  // never synced (a commit always flushes; emulate the kill point between
+  // the append phase and the durability barrier via the Wal).
   TxnId t1 = mgr.Begin();
   Oid committed = mgr.AllocateOid();
   ASSERT_TRUE(mgr.Insert(t1, MakeObj(committed, 1)).ok());

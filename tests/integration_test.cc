@@ -19,7 +19,6 @@ class IntegrationTest : public ::testing::Test {
   void Init(DlmOptions dlm_opts = {}) {
     DeploymentOptions opts;
     opts.dlm = dlm_opts;
-    opts.server.integrated_display_locks = dlm_opts.integrated;
     deployment_ = std::make_unique<Deployment>(opts);
     NmsConfig config;
     config.num_nodes = 16;

@@ -2,7 +2,7 @@
 // slow-subscriber isolation (a stalled client must not inflate other
 // clients' commit latency), admission control (Overloaded rejections with
 // a retry-after hint the retry loop honors), notification coalescing, and
-// the forced-resync / disconnect escalations.
+// the forced-resync escalation.
 
 #include <gtest/gtest.h>
 
@@ -430,11 +430,11 @@ TEST(InProcessOverload, CoalesceResyncLadderIsMonotoneUnderStrictAudit) {
   auditor.ResetForTest();
 }
 
-// --- Escalation hook wiring (the transport's disconnect threshold) --------
+// --- Overflow hook contract ---------------------------------------------
 //
-// Repeated overflows escalate through the overflow hook exactly the way
-// TransportServer wires it: the hook sees the cumulative overflow count and
-// trips the disconnect decision once the threshold is reached.
+// Every overflow reaches the overflow hook (TransportServer marks the
+// client stale there) with the cumulative overflow count, so a consumer
+// can act once a threshold is reached.
 TEST(InProcessOverload, OverflowHookEscalatesAtThreshold) {
   int disconnect_after = 2;
   bool disconnected = false;

@@ -76,18 +76,6 @@ TEST_F(ServerApiTest, AllocateOidIsMonotonicAndUnique) {
   EXPECT_LT(b.value, c.value);
 }
 
-TEST_F(ServerApiTest, IntegratedDisplayLocksRequireOptIn) {
-  EXPECT_EQ(server_.DisplayLock(7, Oid(1)).code(), StatusCode::kNotSupported);
-  EXPECT_EQ(server_.DisplayUnlock(7, Oid(1)).code(), StatusCode::kNotSupported);
-
-  DatabaseServerOptions opts;
-  opts.integrated_display_locks = true;
-  DatabaseServer enabled(opts);
-  EXPECT_TRUE(enabled.DisplayLock(7, Oid(1)).ok());
-  EXPECT_EQ(enabled.lock_manager().DisplayLockHolders(Oid(1)).size(), 1u);
-  EXPECT_TRUE(enabled.DisplayUnlock(7, Oid(1)).ok());
-}
-
 TEST_F(ServerApiTest, ScanClassAccountsResponseBytes) {
   for (int i = 0; i < 5; ++i) Insert("payload-" + std::to_string(i));
   ServerCallInfo info;

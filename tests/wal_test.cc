@@ -395,6 +395,38 @@ TEST(WalTruncateTest, RepeatedTruncationsKeepLogScannable) {
   }
 }
 
+TEST(WalTruncateTest, LostHeaderPageStillTruncates) {
+  MemDisk disk;
+  Lsn last = 0;
+  {
+    Wal wal(&disk);
+    for (int i = 1; i <= 300; ++i) last = wal.Append(Update(1, i, i)).value();
+    ASSERT_TRUE(wal.WaitDurable(last).ok());
+  }
+  // The header write is lost (a torn first flush): page 0 reads back all
+  // zero, which passes its checksum. Every record is still recovered.
+  disk.TornWrite(0, 0);
+  {
+    Wal wal(&disk);
+    EXPECT_EQ(wal.recovered_records(), 300u);
+    // A checkpoint's truncation must not be a silent no-op on this log.
+    Wal::TruncateStats stats;
+    ASSERT_TRUE(wal.TruncateUpTo(last, &stats).ok());
+    EXPECT_GT(stats.bytes_truncated, 0u);
+    EXPECT_EQ(wal.truncate_below_lsn(), last);
+    Lsn lsn = wal.Append(Update(2, 1000, 1)).value();
+    ASSERT_TRUE(wal.WaitDurable(lsn).ok());
+  }
+  // The header is back: a restart sees the horizon and only the record
+  // appended after the truncation.
+  Lsn horizon = 0;
+  auto records = Wal::ReadAllFromDisk(&disk, &horizon);
+  ASSERT_TRUE(records.ok());
+  EXPECT_EQ(horizon, last);
+  ASSERT_EQ(records.value().size(), 1u);
+  EXPECT_EQ(records.value()[0].lsn, last + 1);
+}
+
 TEST(WalCorruptionTest, BitFlippedPageCutsScanWithoutCrashing) {
   MemDisk disk;
   Wal wal(&disk);
