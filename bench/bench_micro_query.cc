@@ -45,6 +45,24 @@ void BM_ExecuteQuerySelective(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteQuerySelective);
 
+// A browse query ("devices whose Parent is rack R"): answered from the
+// heap's reference index, so it reads the rack's devices, not the extent.
+void BM_ExecuteQueryByReference(benchmark::State& state) {
+  bench::Testbed* tb = SharedTestbed();
+  ObjectQuery q;
+  q.cls = tb->db.schema.device;
+  DatabaseObject device =
+      tb->dep().server().heap().Read(tb->db.device_oids[0]).value();
+  q.conjuncts = {{"Parent", CompareOp::kEq,
+                  device.GetByName(tb->dep().server().schema(), "Parent").value()}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tb->dep().server().ExecuteQuery(0, q, nullptr));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tb->db.config.devices_per_rack));
+}
+BENCHMARK(BM_ExecuteQueryByReference);
+
 void BM_ExecuteQuerySubclasses(benchmark::State& state) {
   bench::Testbed* tb = SharedTestbed();
   ObjectQuery q;

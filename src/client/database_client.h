@@ -92,8 +92,7 @@ class DatabaseClient : public ClientApi {
   Result<Oid> NewOid() override { return server_->AllocateOid(); }
 
   Result<uint64_t> LatestVersion(Oid oid) override {
-    IDBA_ASSIGN_OR_RETURN(DatabaseObject obj, server_->heap().Read(oid));
-    return obj.version();
+    return server_->heap().ReadVersion(oid);
   }
 
   uint64_t rpcs_issued() const override { return rpcs_.Get(); }

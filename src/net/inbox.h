@@ -39,9 +39,9 @@ struct InboxOptions {
   /// "only when full". Ignored when max_pending == 0.
   size_t coalesce_watermark = 0;
   /// Called (outside the inbox lock, on the delivering thread) after each
-  /// overflow with the total overflow count — the transport uses it to mark
-  /// the subscriber stale before its flush runs.
-  std::function<void(uint64_t overflow_count)> overflow_hook;
+  /// overflow — the transport uses it to mark the subscriber stale before
+  /// its flush runs.
+  std::function<void()> overflow_hook;
   /// Called (outside the inbox lock) after every delivery, including shed
   /// ones. The event-driven transport installs a hook that posts a flush to
   /// the owning event loop — its notifier is a loop task, not a thread
@@ -81,16 +81,15 @@ class Inbox {
 
   DeliverOutcome Deliver(Envelope e) {
     DeliverOutcome outcome;
-    uint64_t overflow_count = 0;
     uint64_t trace_id = e.trace_id, trace_span = e.trace_span;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      outcome = DeliverLocked(std::move(e), &overflow_count);
+      outcome = DeliverLocked(std::move(e));
     }
     cv_.notify_all();
     if (opts_.wakeup_hook) opts_.wakeup_hook();
     if (opts_.overflow_hook && outcome == DeliverOutcome::kOverflow) {
-      opts_.overflow_hook(overflow_count);
+      opts_.overflow_hook();
     }
     // Annotate the triggering operation's trace with the degradation the
     // subscriber experienced (zero-length marker spans).
@@ -193,7 +192,7 @@ class Inbox {
   }
 
  private:
-  DeliverOutcome DeliverLocked(Envelope e, uint64_t* overflow_count) {
+  DeliverOutcome DeliverLocked(Envelope e) {
     if (in_overflow_) {
       // Between overflow and the consumer's resync everything is shed; the
       // resync refetches current state, so these deliveries add nothing.
@@ -235,7 +234,6 @@ class Inbox {
     in_overflow_ = true;
     overflows_.Add();
     if (opts_.overflow_metric) opts_.overflow_metric->Add();
-    *overflow_count = overflows_.Get();
     // Wake the consumer even though the queue is empty, so a notifier
     // blocked in WaitNext() reacts to the overflow promptly.
     kicked_ = true;

@@ -726,7 +726,7 @@ InboxOptions TransportServer::NotifyInboxOptions(Connection* conn) {
   // the inbox lock), so it must never take connection-table locks or join
   // threads. Marking stale is one atomic store: invalidation callbacks stop
   // at once, before the flush gets to queue the RESYNC frame.
-  in.overflow_hook = [conn](uint64_t) { conn->stale.store(true); };
+  in.overflow_hook = [conn] { conn->stale.store(true); };
   return in;
 }
 
@@ -1164,9 +1164,8 @@ Status TransportServer::ExecuteMethod(Connection* conn, wire::Method method,
     case Method::kGetVersion: {
       uint64_t oid = 0;
       IDBA_RETURN_NOT_OK(dec->GetU64(&oid));
-      Result<DatabaseObject> obj = server_->heap().Read(Oid(oid));
-      IDBA_RETURN_NOT_OK(obj.status());
-      body->PutU64(obj.value().version());
+      IDBA_ASSIGN_OR_RETURN(uint64_t version, server_->heap().ReadVersion(Oid(oid)));
+      body->PutU64(version);
       return Status::OK();
     }
     case Method::kDefineClass: {

@@ -49,21 +49,43 @@ void DatabaseObject::EncodeTo(Encoder* enc) const {
   for (const auto& v : values_) v.EncodeTo(enc);
 }
 
+Status DatabaseObject::DecodeHeader(Decoder* dec, ObjectHeader* out) {
+  IDBA_RETURN_NOT_OK(dec->GetU64(&out->oid.value));
+  IDBA_RETURN_NOT_OK(dec->GetU32(&out->class_id));
+  IDBA_RETURN_NOT_OK(dec->GetU64(&out->version));
+  return dec->GetVarint(&out->attr_count);
+}
+
 Status DatabaseObject::DecodeFrom(Decoder* dec, DatabaseObject* out) {
-  uint64_t oid;
-  IDBA_RETURN_NOT_OK(dec->GetU64(&oid));
-  uint32_t class_id;
-  IDBA_RETURN_NOT_OK(dec->GetU32(&class_id));
-  uint64_t version;
-  IDBA_RETURN_NOT_OK(dec->GetU64(&version));
-  uint64_t count;
-  IDBA_RETURN_NOT_OK(dec->GetVarint(&count));
-  *out = DatabaseObject(Oid(oid), class_id, count);
-  out->set_version(version);
-  for (uint64_t i = 0; i < count; ++i) {
+  ObjectHeader h;
+  IDBA_RETURN_NOT_OK(DecodeHeader(dec, &h));
+  *out = DatabaseObject(h.oid, h.class_id, h.attr_count);
+  out->set_version(h.version);
+  for (uint64_t i = 0; i < h.attr_count; ++i) {
     Value v;
     IDBA_RETURN_NOT_OK(Value::DecodeFrom(dec, &v));
     out->Set(i, std::move(v));
+  }
+  return Status::OK();
+}
+
+void DatabaseObject::Refs(std::vector<ObjectRef>* out) const {
+  out->clear();
+  for (size_t i = 0; i < values_.size(); ++i) {
+    if (values_[i].type() == ValueType::kOid) {
+      out->push_back({static_cast<uint32_t>(i), values_[i].AsOid()});
+    }
+  }
+}
+
+Status DatabaseObject::DecodeRefs(Decoder* dec, std::vector<ObjectRef>* out) {
+  out->clear();
+  ObjectHeader h;
+  IDBA_RETURN_NOT_OK(DecodeHeader(dec, &h));
+  for (uint64_t i = 0; i < h.attr_count; ++i) {
+    std::optional<Oid> oid;
+    IDBA_RETURN_NOT_OK(Value::DecodeOid(dec, &oid));
+    if (oid) out->push_back({static_cast<uint32_t>(i), *oid});
   }
   return Status::OK();
 }

@@ -14,6 +14,23 @@
 
 namespace idba {
 
+/// The fixed fields that open an encoded DatabaseObject, before its values.
+struct ObjectHeader {
+  Oid oid;
+  ClassId class_id = 0;
+  uint64_t version = 0;
+  uint64_t attr_count = 0;
+};
+
+/// One reference an object holds: an attribute slot whose value is a
+/// single OID (kOid), and that OID (possibly null). kOidList elements are
+/// not references in this sense.
+struct ObjectRef {
+  uint32_t slot = 0;
+  Oid target;
+  bool operator==(const ObjectRef& other) const = default;
+};
+
 /// A materialized database object. Attribute slots are positional, matching
 /// SchemaCatalog::AllAttributes(class_id) order.
 class DatabaseObject {
@@ -47,6 +64,15 @@ class DatabaseObject {
 
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, DatabaseObject* out);
+  /// Decodes only the header of an encoded object (DecodeFrom reads the
+  /// same fields first), leaving `dec` at the first value.
+  static Status DecodeHeader(Decoder* dec, ObjectHeader* out);
+
+  /// This object's references, in slot order (replaces `*out`).
+  void Refs(std::vector<ObjectRef>* out) const;
+  /// The references of an encoded object, in slot order (replaces `*out`),
+  /// without materializing its other values.
+  static Status DecodeRefs(Decoder* dec, std::vector<ObjectRef>* out);
 
   std::string ToString(const SchemaCatalog& catalog) const;
 

@@ -127,6 +127,8 @@ Status Value::DecodeFrom(Decoder* dec, Value* out) {
     case ValueType::kOidList: {
       uint64_t n;
       IDBA_RETURN_NOT_OK(dec->GetVarint(&n));
+      // Checked before reserving: a hostile count would throw from reserve.
+      if (n > dec->remaining() / 8) return Status::Corruption("oid list body");
       std::vector<Oid> list;
       list.reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
@@ -136,6 +138,39 @@ Status Value::DecodeFrom(Decoder* dec, Value* out) {
       }
       *out = Value(std::move(list));
       return Status::OK();
+    }
+  }
+  return Status::Corruption("unknown value tag " + std::to_string(tag));
+}
+
+Status Value::DecodeOid(Decoder* dec, std::optional<Oid>* oid) {
+  uint8_t tag;
+  IDBA_RETURN_NOT_OK(dec->GetU8(&tag));
+  *oid = std::nullopt;
+  switch (static_cast<ValueType>(tag)) {
+    case ValueType::kNull:
+      return Status::OK();
+    case ValueType::kBool:
+      return dec->Skip(1);
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      return dec->Skip(8);
+    case ValueType::kString: {
+      uint64_t len;
+      IDBA_RETURN_NOT_OK(dec->GetVarint(&len));
+      return dec->Skip(static_cast<size_t>(len));
+    }
+    case ValueType::kOid: {
+      uint64_t v;
+      IDBA_RETURN_NOT_OK(dec->GetU64(&v));
+      *oid = Oid(v);
+      return Status::OK();
+    }
+    case ValueType::kOidList: {
+      uint64_t n;
+      IDBA_RETURN_NOT_OK(dec->GetVarint(&n));
+      if (n > dec->remaining() / 8) return Status::Corruption("oid list body");
+      return dec->Skip(static_cast<size_t>(n) * 8);
     }
   }
   return Status::Corruption("unknown value tag " + std::to_string(tag));

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -66,6 +67,10 @@ class Value {
 
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, Value* out);
+  /// Consumes one encoded value like DecodeFrom, but materializes only an
+  /// OID: sets `*oid` to it for a kOid value and to nullopt for any other
+  /// type, whose body is skipped without allocating.
+  static Status DecodeOid(Decoder* dec, std::optional<Oid>* oid);
 
   std::string ToString() const;
 

@@ -256,10 +256,13 @@ Result<std::vector<DatabaseObject>> DatabaseServer::ScanClass(
   for (ClassId c : classes) {
     IDBA_ASSIGN_OR_RETURN(std::vector<Oid> oids, heap_->ScanClass(c));
     for (Oid oid : oids) {
-      IDBA_ASSIGN_OR_RETURN(DatabaseObject obj, heap_->Read(oid, &io));
-      bytes += static_cast<int64_t>(obj.WireBytes());
+      auto obj = heap_->Read(oid, &io);
+      // Erased by a commit since the snapshot: the object left the class.
+      if (obj.status().IsNotFound()) continue;
+      IDBA_RETURN_NOT_OK(obj.status());
+      bytes += static_cast<int64_t>(obj.value().WireBytes());
       callbacks_.NoteCached(client, oid);
-      out.push_back(std::move(obj));
+      out.push_back(std::move(obj).value());
     }
   }
   if (info != nullptr) {
@@ -280,19 +283,43 @@ Result<std::vector<DatabaseObject>> DatabaseServer::ExecuteQuery(
   } else {
     classes.push_back(query.cls);
   }
+  // The first `attr == <oid>` conjunct, if any, picks each class's
+  // candidates from the heap's reference index instead of its extent. A
+  // slot that does not hold a kOid value never equals an OID value, so the
+  // candidates are exactly the objects the extent scan would match on that
+  // conjunct; Matches still judges every candidate on the whole query.
+  const AttrPredicate* by_ref = nullptr;
+  for (const AttrPredicate& p : query.conjuncts) {
+    if (p.op == CompareOp::kEq && p.value.type() == ValueType::kOid) {
+      by_ref = &p;
+      break;
+    }
+  }
   std::vector<DatabaseObject> out;
   IoStats io;
   int64_t bytes = 0;
+  uint64_t examined = 0;
   for (ClassId c : classes) {
-    IDBA_ASSIGN_OR_RETURN(std::vector<Oid> oids, heap_->ScanClass(c));
+    std::vector<Oid> oids;
+    if (by_ref == nullptr) {
+      IDBA_ASSIGN_OR_RETURN(oids, heap_->ScanClass(c));
+    } else if (auto slot = schema_.ResolveAttribute(c, by_ref->attr)) {
+      oids = heap_->Referrers(c, static_cast<uint32_t>(*slot), by_ref->value.AsOid());
+    }
     for (Oid oid : oids) {
-      IDBA_ASSIGN_OR_RETURN(DatabaseObject obj, heap_->Read(oid, &io));
-      if (!query.Matches(schema_, obj)) continue;
-      bytes += static_cast<int64_t>(obj.WireBytes());
+      auto obj = heap_->Read(oid, &io);
+      // Erased by a commit since the snapshot: the object left the class.
+      if (obj.status().IsNotFound()) continue;
+      IDBA_RETURN_NOT_OK(obj.status());
+      ++examined;
+      if (!query.Matches(schema_, obj.value())) continue;
+      bytes += static_cast<int64_t>(obj.value().WireBytes());
       callbacks_.NoteCached(client, oid);
-      out.push_back(std::move(obj));
+      out.push_back(std::move(obj).value());
     }
   }
+  rows_examined_->Add(examined);
+  rows_returned_->Add(out.size());
   if (info != nullptr) {
     info->request_bytes =
         RequestHeaderBytes() + static_cast<int64_t>(query.WireBytes());

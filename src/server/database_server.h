@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/vtime.h"
 #include "objectmodel/object.h"
@@ -181,6 +182,9 @@ class DatabaseServer {
   std::vector<CommitObserver> commit_observers_;
   std::vector<IntentObserver> intent_observers_;
   std::vector<AbortObserver> abort_observers_;
+  // ExecuteQuery's objects read and objects returned.
+  Counter* rows_examined_ = GlobalMetrics().GetCounter("query.rows.examined");
+  Counter* rows_returned_ = GlobalMetrics().GetCounter("query.rows.returned");
 };
 
 }  // namespace idba

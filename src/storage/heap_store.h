@@ -1,7 +1,7 @@
 // Object heap store: places serialized DatabaseObjects on slotted pages via
 // the buffer pool and maintains an in-memory OID -> (page, slot, class)
-// directory plus per-class extents (both rebuilt by scanning pages on open,
-// i.e. after a restart).
+// directory, per-class extents and an inverse-reference index (all rebuilt
+// by scanning pages on open, i.e. after a restart).
 
 #pragma once
 
@@ -37,8 +37,8 @@ struct IoStats {
 class HeapStore {
  public:
   /// Opens a heap over `pool`, reading (and so verifying) every page in
-  /// [0, data_page_count) to rebuild the OID directory and the class
-  /// extents. Pass 0 for an empty/new heap.
+  /// [0, data_page_count) to rebuild the OID directory, the class extents
+  /// and the reference index. Pass 0 for an empty/new heap.
   static Result<std::unique_ptr<HeapStore>> Open(BufferPool* pool,
                                                  PageId data_page_count);
 
@@ -47,6 +47,10 @@ class HeapStore {
 
   /// Reads the current image of `oid`.
   Result<DatabaseObject> Read(Oid oid, IoStats* io = nullptr) const;
+
+  /// The version of the current image of `oid` (NotFound if absent). Fetches
+  /// the same page as Read but decodes only the object's header.
+  Result<uint64_t> ReadVersion(Oid oid, IoStats* io = nullptr) const;
 
   /// Replaces the image of an existing object (relocating it if it grew).
   Status Update(const DatabaseObject& obj, IoStats* io = nullptr);
@@ -64,6 +68,12 @@ class HeapStore {
   /// no page, so it neither misses nor disturbs the buffer pool's LRU.
   Result<std::vector<Oid>> ScanClass(ClassId cls) const;
 
+  /// OIDs of the objects of class `cls` (exact, like ScanClass) whose
+  /// attribute slot `slot` holds the single OID `target` (a kOid value;
+  /// `target` may be null), ascending. A copy taken under the store's lock;
+  /// like ScanClass it touches no page.
+  std::vector<Oid> Referrers(ClassId cls, uint32_t slot, Oid target) const;
+
   /// Every OID in the heap.
   std::vector<Oid> AllOids() const;
 
@@ -77,6 +87,12 @@ class HeapStore {
                      IoStats* io);
   void AddToExtent(ClassId cls, Oid oid);
   void RemoveFromExtent(ClassId cls, Oid oid);
+  void AddRefs(ClassId cls, Oid oid, const std::vector<ObjectRef>& refs);
+  void RemoveRefs(ClassId cls, Oid oid, const std::vector<ObjectRef>& refs);
+  /// Fetches the page holding `oid` and runs `decode` on its record, under
+  /// mu_ with the page pinned (the record is read in place, not copied).
+  template <typename T>
+  Result<T> DecodeStored(Oid oid, IoStats* io, Status (*decode)(Decoder*, T*)) const;
   /// Charges a miss to the per-op IoStats (if any) and the counters.
   void CountMiss(IoStats* io, bool missed) const;
 
@@ -87,6 +103,24 @@ class HeapStore {
   // each sorted ascending. OIDs are allocated in increasing order, so
   // inserts append; an erase shifts the OIDs after it (8 bytes each).
   std::unordered_map<ClassId, std::vector<Oid>> extents_;
+  // Reference index: (class, slot, target) -> the OIDs of that class whose
+  // slot holds the OID `target`, sorted ascending like an extent. Every
+  // kOid slot of every stored object is indexed, null targets included.
+  struct RefKey {
+    ClassId cls;
+    uint32_t slot;
+    Oid target;
+    bool operator==(const RefKey& other) const = default;
+  };
+  struct RefKeyHash {
+    size_t operator()(const RefKey& k) const noexcept {
+      return std::hash<Oid>()(k.target) ^ (size_t{k.cls} << 32 | k.slot);
+    }
+  };
+  std::unordered_map<RefKey, std::vector<Oid>, RefKeyHash> referrers_;
+  // Scratch for the references of the image being replaced or erased and
+  // of its replacement, reused so updates allocate nothing for them.
+  std::vector<ObjectRef> old_refs_, new_refs_;
   // Pages with at least ~25% free space, candidates for inserts.
   std::vector<PageId> pages_with_space_;
   PageId next_page_ = 0;

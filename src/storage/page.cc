@@ -86,13 +86,11 @@ Result<SlotId> SlottedPage::Insert(const uint8_t* rec, size_t len) {
   return slot;
 }
 
-Result<std::vector<uint8_t>> SlottedPage::Read(SlotId slot) const {
+Result<std::span<const uint8_t>> SlottedPage::Read(SlotId slot) const {
   if (slot >= slot_count() || SlotOffset(slot) == kTombstone) {
     return Status::NotFound("slot " + std::to_string(slot));
   }
-  uint16_t off = SlotOffset(slot);
-  uint16_t len = SlotLength(slot);
-  return std::vector<uint8_t>(data_->bytes + off, data_->bytes + off + len);
+  return std::span<const uint8_t>(data_->bytes + SlotOffset(slot), SlotLength(slot));
 }
 
 Status SlottedPage::Update(SlotId slot, const uint8_t* rec, size_t len) {

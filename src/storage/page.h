@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -47,8 +48,9 @@ class SlottedPage {
   /// Inserts a record; returns its slot. Fails with Busy if it doesn't fit.
   Result<SlotId> Insert(const uint8_t* rec, size_t len);
 
-  /// Reads record bytes at `slot` (NotFound for tombstones / bad slots).
-  Result<std::vector<uint8_t>> Read(SlotId slot) const;
+  /// The record bytes at `slot` (NotFound for tombstones / bad slots): a
+  /// view into the page, valid until the page is modified or unpinned.
+  Result<std::span<const uint8_t>> Read(SlotId slot) const;
 
   /// Replaces the record at `slot`. Fails with Busy if the new version does
   /// not fit in place nor in the remaining free space.

@@ -32,9 +32,9 @@ Result<RecoveryStats> RecoverFromWal(Disk* wal_disk, HeapStore* heap) {
     switch (rec.type) {
       case WalRecordType::kInsert:
       case WalRecordType::kUpdate: {
-        auto current = heap->Read(rec.oid);
+        auto current = heap->ReadVersion(rec.oid);
         if (current.ok()) {
-          if (current.value().version() >= rec.after.version()) {
+          if (current.value() >= rec.after.version()) {
             ++stats.skipped_stale;
             break;
           }

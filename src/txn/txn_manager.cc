@@ -73,14 +73,14 @@ Status TxnManager::ValidateReads(
   (void)t;
   for (const auto& [oid, version] : reads) {
     IDBA_RETURN_NOT_OK(locks_.Lock(txn, oid, LockMode::kS));
-    auto current = heap_->Read(oid, io);
+    auto current = heap_->ReadVersion(oid, io);
     if (!current.ok()) {
       return Status::Aborted("validation: " + oid.ToString() + " vanished");
     }
-    if (current.value().version() != version) {
+    if (current.value() != version) {
       return Status::Aborted("validation: stale read of " + oid.ToString() +
                              " (read v" + std::to_string(version) + ", now v" +
-                             std::to_string(current.value().version()) + ")");
+                             std::to_string(current.value()) + ")");
     }
   }
   return Status::OK();
@@ -156,11 +156,11 @@ Result<CommitResult> TxnManager::Commit(TxnId txn) {
     if (w.kind != WriteKind::kErase) {
       uint64_t old_version = 0;
       if (w.kind == WriteKind::kUpdate) {
-        auto cur = heap_->Read(oid, &io);
+        auto cur = heap_->ReadVersion(oid, &io);
         if (!cur.ok()) {
           return FailCommit(txn, t, cur.status());  // update of a vanished object
         }
-        old_version = cur.value().version();
+        old_version = cur.value();
       }
       w.obj.set_version(old_version + 1);
     }

@@ -68,7 +68,6 @@ double LayoutRec(const PdqNode& node, int level, int parent_index,
   PdqLayoutNode& me2 = st->out->nodes[my_index];
   me2.position = Point{level * st->opts->level_spacing, y};
   me2.pruned_descendants = pruned_here;
-  me2.visible = true;
   st->out->visible_count += 1;
   return y;
 }

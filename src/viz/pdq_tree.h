@@ -55,7 +55,6 @@ struct PdqLayoutNode {
   std::string label;
   uint64_t tag = 0;
   int level = 0;
-  bool visible = true;   ///< false only for stubs
   size_t pruned_descendants = 0;  ///< subtree size removed under this node
   int parent_index = -1;          ///< index into the layout vector
 };

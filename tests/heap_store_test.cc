@@ -6,6 +6,7 @@
 #include <atomic>
 #include <map>
 #include <thread>
+#include <tuple>
 
 #include "common/rng.h"
 
@@ -185,6 +186,142 @@ TEST_F(HeapStoreTest, ScanClassDuringInsertsAndErases) {
   for (Oid oid : churn) EXPECT_EQ(oid.value % 2, 1u);
 }
 
+// Objects for the reference index: slot 0 a payload string, slot 1 the
+// indexed Parent reference, slot 2 a reference list (never indexed).
+DatabaseObject MakeRefObj(uint64_t oid, ClassId cls, uint64_t parent,
+                          const std::string& payload = "r") {
+  DatabaseObject obj(Oid(oid), cls, 3);
+  obj.Set(0, Value(payload));
+  obj.Set(1, Value(Oid(parent)));
+  obj.Set(2, Value(std::vector<Oid>{Oid(parent), Oid(oid)}));
+  return obj;
+}
+
+TEST_F(HeapStoreTest, ReferrersIndexInsertedReferences) {
+  ASSERT_TRUE(store_->Insert(MakeRefObj(1, 7, 100)).ok());
+  ASSERT_TRUE(store_->Insert(MakeRefObj(2, 7, 200)).ok());
+  ASSERT_TRUE(store_->Insert(MakeRefObj(3, 7, 100)).ok());
+  ASSERT_TRUE(store_->Insert(MakeRefObj(4, 8, 100)).ok());
+  ASSERT_TRUE(store_->Insert(MakeRefObj(5, 7, 0)).ok());
+  EXPECT_EQ(store_->Referrers(7, 1, Oid(100)), Oids({1, 3}));
+  EXPECT_EQ(store_->Referrers(7, 1, Oid(200)), Oids({2}));
+  EXPECT_EQ(store_->Referrers(8, 1, Oid(100)), Oids({4}));
+  EXPECT_EQ(store_->Referrers(7, 1, kNullOid), Oids({5}));  // null is indexed
+  EXPECT_TRUE(store_->Referrers(7, 1, Oid(300)).empty());
+  // Neither list elements nor non-OID slots are references.
+  EXPECT_TRUE(store_->Referrers(7, 2, Oid(100)).empty());
+  EXPECT_TRUE(store_->Referrers(7, 0, Oid(100)).empty());
+}
+
+TEST_F(HeapStoreTest, ReferrersFollowInPlaceUpdates) {
+  for (uint64_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeRefObj(i, 7, 100, "long payload")).ok());
+  }
+  PageId pages = store_->data_page_count();
+  ASSERT_TRUE(store_->Update(MakeRefObj(2, 7, 100, "short")).ok());  // same ref
+  ASSERT_TRUE(store_->Update(MakeRefObj(3, 7, 200, "short")).ok());  // changed
+  EXPECT_EQ(store_->data_page_count(), pages);
+  EXPECT_EQ(store_->Referrers(7, 1, Oid(100)), Oids({1, 2, 4}));
+  EXPECT_EQ(store_->Referrers(7, 1, Oid(200)), Oids({3}));
+  ASSERT_TRUE(store_->Update(MakeRefObj(3, 7, 100, "back")).ok());
+  EXPECT_EQ(store_->Referrers(7, 1, Oid(100)), Oids({1, 2, 3, 4}));
+  EXPECT_TRUE(store_->Referrers(7, 1, Oid(200)).empty());
+}
+
+TEST_F(HeapStoreTest, ReferrersFollowRelocatingUpdates) {
+  std::string payload(900, 'p');
+  for (uint64_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeRefObj(i, 7, 100, payload)).ok());
+  }
+  PageId pages = store_->data_page_count();
+  ASSERT_TRUE(store_->Update(MakeRefObj(2, 7, 100, std::string(3000, 'q'))).ok());
+  EXPECT_GT(store_->data_page_count(), pages);  // 2 relocated, same ref
+  pages = store_->data_page_count();
+  ASSERT_TRUE(store_->Update(MakeRefObj(3, 7, 200, std::string(3000, 'q'))).ok());
+  EXPECT_GT(store_->data_page_count(), pages);  // 3 relocated, new ref
+  EXPECT_EQ(store_->Referrers(7, 1, Oid(100)), Oids({1, 2, 4}));
+  EXPECT_EQ(store_->Referrers(7, 1, Oid(200)), Oids({3}));
+}
+
+TEST_F(HeapStoreTest, ClassChangingUpdateMovesTheReferences) {
+  std::string payload(900, 'p');
+  for (uint64_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeRefObj(i, 7, 100, payload)).ok());
+  }
+  PageId pages = store_->data_page_count();
+  ASSERT_TRUE(store_->Update(MakeRefObj(2, 8, 100, "in place")).ok());
+  ASSERT_TRUE(store_->Update(MakeRefObj(4, 9, 200, std::string(3000, 'r'))).ok());
+  EXPECT_GT(store_->data_page_count(), pages);  // 4 relocated
+  EXPECT_EQ(store_->Referrers(7, 1, Oid(100)), Oids({1, 3}));
+  EXPECT_EQ(store_->Referrers(8, 1, Oid(100)), Oids({2}));
+  EXPECT_EQ(store_->Referrers(9, 1, Oid(200)), Oids({4}));
+  EXPECT_TRUE(store_->Referrers(7, 1, Oid(200)).empty());
+  EXPECT_TRUE(store_->Referrers(9, 1, Oid(100)).empty());
+}
+
+TEST_F(HeapStoreTest, EraseDropsTheReferences) {
+  for (uint64_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeRefObj(i, 7, 100)).ok());
+  }
+  ASSERT_TRUE(store_->Erase(Oid(2)).ok());
+  EXPECT_EQ(store_->Referrers(7, 1, Oid(100)), Oids({1, 3, 4}));
+  for (uint64_t i : {1, 3, 4}) ASSERT_TRUE(store_->Erase(Oid(i)).ok());
+  EXPECT_TRUE(store_->Referrers(7, 1, Oid(100)).empty());
+  // A later insert under the same key starts a fresh list.
+  ASSERT_TRUE(store_->Insert(MakeRefObj(9, 7, 100)).ok());
+  EXPECT_EQ(store_->Referrers(7, 1, Oid(100)), Oids({9}));
+}
+
+TEST_F(HeapStoreTest, FailedRelocationDropsTheReferences) {
+  // One frame, pinned by the test: the relocation needs a fresh page and
+  // there is no frame to put it in.
+  MemDisk disk;
+  BufferPool pool(&disk, {.frame_count = 1});
+  auto store = std::move(HeapStore::Open(&pool, 0).value());
+  std::string payload(900, 'p');
+  for (uint64_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(store->Insert(MakeRefObj(i, 7, 100, payload)).ok());
+  }
+  ASSERT_EQ(store->data_page_count(), 1u);
+  auto pin = pool.FetchPage(0);
+  ASSERT_TRUE(pin.ok());
+  EXPECT_FALSE(store->Update(MakeRefObj(2, 7, 200, std::string(3000, 'q'))).ok());
+  // The old image is gone with the directory entry, and so are its extent
+  // membership and its references.
+  EXPECT_FALSE(store->Contains(Oid(2)));
+  EXPECT_EQ(store->ScanClass(7).value(), Oids({1, 3, 4}));
+  EXPECT_EQ(store->Referrers(7, 1, Oid(100)), Oids({1, 3, 4}));
+  EXPECT_TRUE(store->Referrers(7, 1, Oid(200)).empty());
+}
+
+TEST_F(HeapStoreTest, ReferrersTouchNoPage) {
+  for (uint64_t i = 1; i <= 120; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeRefObj(i, 1, 1000 + i % 3, std::string(600, 's'))).ok());
+  }
+  ASSERT_GT(store_->data_page_count(), 16u);  // more pages than frames
+  const uint64_t hits = pool_.hits();
+  const uint64_t misses = pool_.misses();
+  for (uint64_t target = 1000; target < 1003; ++target) {
+    EXPECT_EQ(store_->Referrers(1, 1, Oid(target)).size(), 40u);
+  }
+  EXPECT_EQ(pool_.hits(), hits);
+  EXPECT_EQ(pool_.misses(), misses);
+}
+
+TEST_F(HeapStoreTest, ReadVersionDecodesOnlyTheHeader) {
+  DatabaseObject obj = MakeRefObj(1, 7, 100);
+  obj.set_version(41);
+  ASSERT_TRUE(store_->Insert(obj).ok());
+  EXPECT_EQ(store_->ReadVersion(Oid(1)).value(), 41u);
+  EXPECT_EQ(store_->ReadVersion(Oid(404)).status().code(), StatusCode::kNotFound);
+  // Same page fetch as Read, so the same miss accounting.
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  pool_.DropAllNoFlush();
+  IoStats io;
+  ASSERT_TRUE(store_->ReadVersion(Oid(1), &io).ok());
+  EXPECT_EQ(io.page_misses, 1);
+}
+
 TEST_F(HeapStoreTest, ManyObjectsSpanPages) {
   std::string payload(500, 'm');
   for (uint64_t i = 1; i <= 100; ++i) {
@@ -234,6 +371,54 @@ TEST_F(HeapStoreTest, ReopenRebuildsClassExtents) {
   EXPECT_EQ(store2.value()->ScanClass(3).value(), Oids({7, 9}));
 }
 
+TEST_F(HeapStoreTest, ReopenRebuildsReferrers) {
+  std::string payload(300, 'd');
+  for (uint64_t i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(store_->Insert(MakeRefObj(i, 1 + i % 2, 100 + i % 5, payload)).ok());
+  }
+  ASSERT_TRUE(store_->Erase(Oid(26)).ok());
+  ASSERT_TRUE(store_->Update(MakeRefObj(7, 3, 100, payload)).ok());
+  ASSERT_TRUE(store_->Update(MakeRefObj(9, 3, 0, std::string(2000, 'g'))).ok());
+  ASSERT_TRUE(store_->Update(MakeRefObj(11, 2, 104, payload)).ok());
+  ASSERT_TRUE(pool_.FlushAll().ok());
+
+  BufferPool pool2(&disk_, {.frame_count = 16});
+  auto store2 = HeapStore::Open(&pool2, store_->data_page_count());
+  ASSERT_TRUE(store2.ok());
+  for (ClassId cls = 1; cls <= 4; ++cls) {
+    for (uint64_t target : {0, 100, 101, 102, 103, 104}) {
+      EXPECT_EQ(store2.value()->Referrers(cls, 1, Oid(target)),
+                store_->Referrers(cls, 1, Oid(target)))
+          << "class " << cls << " target " << target;
+    }
+  }
+  EXPECT_EQ(store2.value()->Referrers(3, 1, Oid(100)), Oids({7}));
+  EXPECT_EQ(store2.value()->Referrers(3, 1, kNullOid), Oids({9}));
+  EXPECT_EQ(store2.value()->Referrers(2, 1, Oid(102)), Oids({17, 27, 37, 47}));
+}
+
+TEST_F(HeapStoreTest, ReopenKeepsTheReferencesOfTheLastImage) {
+  // A relocation whose tombstone never reached disk leaves two images of an
+  // OID on disk; the page scanned later wins, for its references too.
+  auto write_page = [&](PageId id, const DatabaseObject& obj) {
+    std::vector<uint8_t> bytes;
+    Encoder enc(&bytes);
+    obj.EncodeTo(&enc);
+    PageData data;
+    SlottedPage page(&data);
+    page.Init();
+    ASSERT_TRUE(page.Insert(bytes.data(), bytes.size()).ok());
+    ASSERT_TRUE(disk_.WritePage(id, data).ok());
+  };
+  write_page(0, MakeRefObj(5, 7, 100));
+  write_page(1, MakeRefObj(5, 9, 200));
+  auto store = HeapStore::Open(&pool_, 2);
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(store.value()->Read(Oid(5)).value().class_id(), 9u);
+  EXPECT_EQ(store.value()->Referrers(9, 1, Oid(200)), Oids({5}));
+  EXPECT_TRUE(store.value()->Referrers(7, 1, Oid(100)).empty());
+}
+
 TEST_F(HeapStoreTest, IoStatsCountMisses) {
   ASSERT_TRUE(store_->Insert(MakeObj(1, 1, "x")).ok());
   ASSERT_TRUE(pool_.FlushAll().ok());
@@ -271,9 +456,28 @@ TEST(HeapStorePropertyTest, RandomWorkloadMatchesModel) {
   auto store = std::move(HeapStore::Open(&pool, 0).value());
   Rng rng(777);
   constexpr ClassId kClasses = 4;
+  constexpr uint64_t kTargets = 5;  // reference targets 1..5, plus null
+  // Slot 0 the payload; slots 1 and 2 each hold a reference, a reference
+  // list (not indexed) or null, drawn at random.
   struct Entry {
     ClassId cls;
     std::string payload;
+    Value refs[2];
+  };
+  auto draw_ref = [&]() -> Value {
+    Oid target(rng.NextBelow(kTargets + 1));
+    switch (rng.NextBelow(4)) {
+      case 0: return Value(std::vector<Oid>{target});
+      case 1: return Value();
+      default: return Value(target);
+    }
+  };
+  auto make = [](uint64_t oid, const Entry& e) {
+    DatabaseObject obj(Oid(oid), e.cls, 3);
+    obj.Set(0, Value(e.payload));
+    obj.Set(1, e.refs[0]);
+    obj.Set(2, e.refs[1]);
+    return obj;
   };
   std::unordered_map<uint64_t, Entry> model;
   uint64_t next_oid = 1;
@@ -282,16 +486,17 @@ TEST(HeapStorePropertyTest, RandomWorkloadMatchesModel) {
     // Updates draw a class too, so most of them change the object's class.
     ClassId cls = 1 + static_cast<ClassId>(rng.NextBelow(kClasses));
     if (dice < 0.5) {
-      std::string payload(rng.NextBelow(600), static_cast<char>('a' + rng.NextBelow(26)));
+      Entry e{cls, std::string(rng.NextBelow(600), static_cast<char>('a' + rng.NextBelow(26))),
+              {draw_ref(), draw_ref()}};
       uint64_t oid = next_oid++;
-      ASSERT_TRUE(store->Insert(MakeObj(oid, cls, payload)).ok());
-      model[oid] = {cls, payload};
+      ASSERT_TRUE(store->Insert(make(oid, e)).ok());
+      model[oid] = e;
     } else if (dice < 0.8 && !model.empty()) {
       auto it = model.begin();
       std::advance(it, rng.NextBelow(model.size()));
-      std::string payload(rng.NextBelow(900), 'U');
-      ASSERT_TRUE(store->Update(MakeObj(it->first, cls, payload)).ok());
-      it->second = {cls, payload};
+      Entry e{cls, std::string(rng.NextBelow(900), 'U'), {draw_ref(), draw_ref()}};
+      ASSERT_TRUE(store->Update(make(it->first, e)).ok());
+      it->second = e;
     } else if (!model.empty()) {
       auto it = model.begin();
       std::advance(it, rng.NextBelow(model.size()));
@@ -301,17 +506,33 @@ TEST(HeapStorePropertyTest, RandomWorkloadMatchesModel) {
   }
   EXPECT_EQ(store->object_count(), model.size());
   std::map<ClassId, std::vector<Oid>> extents;
-  for (const auto& [oid, entry] : model) {
+  // (class, slot, target) -> referrers, filled in ascending OID order.
+  std::map<std::tuple<ClassId, uint32_t, uint64_t>, std::vector<Oid>> referrers;
+  std::vector<uint64_t> oids;
+  for (const auto& [oid, entry] : model) oids.push_back(oid);
+  std::sort(oids.begin(), oids.end());
+  for (uint64_t oid : oids) {
+    const Entry& entry = model[oid];
     auto obj = store->Read(Oid(oid));
     ASSERT_TRUE(obj.ok()) << oid;
-    EXPECT_EQ(obj.value().class_id(), entry.cls);
-    EXPECT_EQ(obj.value().Get(0), Value(entry.payload));
+    EXPECT_EQ(obj.value(), make(oid, entry));
     extents[entry.cls].push_back(Oid(oid));
+    for (uint32_t slot : {1u, 2u}) {
+      const Value& ref = entry.refs[slot - 1];
+      if (ref.type() == ValueType::kOid) {
+        referrers[{entry.cls, slot, ref.AsOid().value}].push_back(Oid(oid));
+      }
+    }
   }
   for (ClassId cls = 1; cls <= kClasses; ++cls) {
-    std::vector<Oid>& want = extents[cls];
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(store->ScanClass(cls).value(), want) << "class " << cls;
+    EXPECT_EQ(store->ScanClass(cls).value(), extents[cls]) << "class " << cls;
+    for (uint32_t slot = 0; slot <= 2; ++slot) {
+      for (uint64_t target = 0; target <= kTargets; ++target) {
+        EXPECT_EQ(store->Referrers(cls, slot, Oid(target)),
+                  referrers[std::make_tuple(cls, slot, target)])
+            << "class " << cls << " slot " << slot << " target " << target;
+      }
+    }
   }
 }
 

@@ -64,6 +64,39 @@ TEST_F(ObjectTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(out.version(), 3u);
   EXPECT_EQ(out.class_id(), link_);
   EXPECT_TRUE(dec.exhausted());
+  // The header decoder reads the same fields.
+  Decoder head(buf);
+  ObjectHeader h;
+  ASSERT_TRUE(DatabaseObject::DecodeHeader(&head, &h).ok());
+  EXPECT_EQ(h.oid, Oid(7));
+  EXPECT_EQ(h.class_id, link_);
+  EXPECT_EQ(h.version, 3u);
+  EXPECT_EQ(h.attr_count, 3u);
+}
+
+TEST_F(ObjectTest, DecodeRefsFindsTheReferencesRefsFinds) {
+  // Every value type, references in slots 2 and 5 (one of them null).
+  DatabaseObject obj(Oid(9), link_, 7);
+  obj.Set(0, Value(std::string(200, 'n')));
+  obj.Set(1, Value(0.5));
+  obj.Set(2, Value(Oid(100)));
+  obj.Set(3, Value(std::vector<Oid>{Oid(1), Oid(2)}));
+  obj.Set(4, Value(true));
+  obj.Set(5, Value(kNullOid));
+  std::vector<uint8_t> buf;
+  Encoder enc(&buf);
+  obj.EncodeTo(&enc);
+  std::vector<ObjectRef> from_memory, from_bytes = {{99, Oid(99)}};
+  obj.Refs(&from_memory);
+  Decoder dec(buf);
+  ASSERT_TRUE(DatabaseObject::DecodeRefs(&dec, &from_bytes).ok());
+  EXPECT_TRUE(dec.exhausted());
+  EXPECT_EQ(from_bytes, (std::vector<ObjectRef>{{2, Oid(100)}, {5, kNullOid}}));
+  EXPECT_EQ(from_memory, from_bytes);
+  // A truncated image is corruption, not a short list.
+  Decoder cut(buf.data(), buf.size() - 1);
+  EXPECT_EQ(DatabaseObject::DecodeRefs(&cut, &from_bytes).code(),
+            StatusCode::kCorruption);
 }
 
 TEST_F(ObjectTest, WireBytesBoundsEncodedSize) {

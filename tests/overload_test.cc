@@ -433,17 +433,16 @@ TEST(InProcessOverload, CoalesceResyncLadderIsMonotoneUnderStrictAudit) {
 // --- Overflow hook contract ---------------------------------------------
 //
 // Every overflow reaches the overflow hook (TransportServer marks the
-// client stale there) with the cumulative overflow count, so a consumer
-// can act once a threshold is reached.
+// client stale there), once per overflow, so a consumer that counts the
+// calls can act once a threshold is reached.
 TEST(InProcessOverload, OverflowHookEscalatesAtThreshold) {
   int disconnect_after = 2;
+  int overflow_calls = 0;
   bool disconnected = false;
   InboxOptions opts;
   opts.max_pending = 1;
-  opts.overflow_hook = [&](uint64_t overflow_count) {
-    if (overflow_count >= static_cast<uint64_t>(disconnect_after)) {
-      disconnected = true;
-    }
+  opts.overflow_hook = [&] {
+    if (++overflow_calls >= disconnect_after) disconnected = true;
   };
   Inbox inbox(opts);
 
@@ -466,7 +465,7 @@ TEST(InProcessOverload, OverflowHookEscalatesAtThreshold) {
   EXPECT_FALSE(disconnected);  // first overflow is below the threshold
   EXPECT_TRUE(inbox.TakeOverflow());
 
-  // Round two: same pattern; the hook now sees count == 2 and escalates.
+  // Round two: same pattern; the hook's second call escalates.
   EXPECT_EQ(deliver(intent), DeliverOutcome::kQueued);
   EXPECT_EQ(deliver(update), DeliverOutcome::kOverflow);
   EXPECT_TRUE(disconnected);

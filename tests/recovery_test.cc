@@ -125,6 +125,53 @@ TEST_F(RecoveryTest, ClassExtentsMatchAfterReplay) {
   }
 }
 
+TEST_F(RecoveryTest, ReferenceIndexMatchesAFreshHeapAfterReplay) {
+  // Objects hold one reference (slot 0). Part of the history reaches the
+  // data pages, the rest only the WAL; replay maintains the index through
+  // Insert/Update/Erase, and it must equal the index that Open builds
+  // from the recovered pages, and the one the crashed heap held.
+  auto make = [](Oid oid, uint64_t parent, ClassId cls) {
+    DatabaseObject obj(oid, cls, 1);
+    obj.Set(0, Value(Oid(parent)));
+    return obj;
+  };
+  std::vector<Oid> oids;
+  TxnId t1 = mgr_->Begin();
+  for (int i = 0; i < 12; ++i) {
+    oids.push_back(mgr_->AllocateOid());
+    ASSERT_TRUE(mgr_->Insert(t1, make(oids[i], 100 + i % 3, 1 + i % 2)).ok());
+  }
+  ASSERT_TRUE(mgr_->Commit(t1).ok());
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  TxnId t2 = mgr_->Begin();
+  ASSERT_TRUE(mgr_->Put(t2, make(oids[0], 102, 1)).ok());  // new target
+  ASSERT_TRUE(mgr_->Put(t2, make(oids[1], 100, 3)).ok());  // new class
+  ASSERT_TRUE(mgr_->Put(t2, make(oids[2], 0, 1)).ok());    // null target
+  ASSERT_TRUE(mgr_->Erase(t2, oids[3]).ok());
+  Oid late = mgr_->AllocateOid();
+  ASSERT_TRUE(mgr_->Insert(t2, make(late, 101, 2)).ok());
+  ASSERT_TRUE(mgr_->Commit(t2).ok());
+
+  auto heap = CrashAndRecover();
+  ASSERT_TRUE(recovered_pool_->FlushAll().ok());
+  BufferPool fresh_pool(&data_disk_, {.frame_count = 32});
+  auto fresh = std::move(HeapStore::Open(&fresh_pool, heap->data_page_count()).value());
+  for (ClassId cls = 1; cls <= 3; ++cls) {
+    for (uint64_t target : {0, 100, 101, 102}) {
+      std::vector<Oid> want = heap_->Referrers(cls, 0, Oid(target));
+      EXPECT_EQ(heap->Referrers(cls, 0, Oid(target)), want)
+          << "class " << cls << " target " << target;
+      EXPECT_EQ(fresh->Referrers(cls, 0, Oid(target)), want)
+          << "class " << cls << " target " << target;
+    }
+  }
+  EXPECT_EQ(heap->Referrers(1, 0, Oid(102)), (std::vector<Oid>{oids[0], oids[8]}));
+  EXPECT_EQ(heap->Referrers(3, 0, Oid(100)), (std::vector<Oid>{oids[1]}));
+  EXPECT_EQ(heap->Referrers(1, 0, kNullOid), (std::vector<Oid>{oids[2]}));
+  EXPECT_EQ(heap->Referrers(2, 0, Oid(101)),
+            (std::vector<Oid>{oids[7], late}));
+}
+
 TEST_F(RecoveryTest, ReplayIsIdempotentAgainstFlushedPages) {
   // Commit, flush pages to disk (so images are already there), crash,
   // recover: version check must skip the stale redo.

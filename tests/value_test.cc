@@ -57,6 +57,13 @@ TEST_P(ValueRoundTrip, EncodeDecode) {
   ASSERT_TRUE(Value::DecodeFrom(&dec, &out).ok());
   EXPECT_EQ(out, GetParam());
   EXPECT_TRUE(dec.exhausted());
+  // The reference walker consumes the same bytes and yields only OIDs.
+  Decoder walk(buf);
+  std::optional<Oid> oid;
+  ASSERT_TRUE(Value::DecodeOid(&walk, &oid).ok());
+  EXPECT_TRUE(walk.exhausted());
+  EXPECT_EQ(oid.has_value(), GetParam().type() == ValueType::kOid);
+  if (oid) EXPECT_EQ(*oid, GetParam().AsOid());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -93,6 +100,24 @@ TEST(ValueTest, DecodeRejectsUnknownTag) {
   Decoder dec(buf);
   Value out;
   EXPECT_EQ(Value::DecodeFrom(&dec, &out).code(), StatusCode::kCorruption);
+  Decoder walk(buf);
+  std::optional<Oid> oid;
+  EXPECT_EQ(Value::DecodeOid(&walk, &oid).code(), StatusCode::kCorruption);
+}
+
+TEST(ValueTest, DecodeRejectsListCountsPastTheBuffer) {
+  // An oid list claiming 2^60 elements, followed by one.
+  std::vector<uint8_t> buf;
+  Encoder enc(&buf);
+  enc.PutU8(static_cast<uint8_t>(ValueType::kOidList));
+  enc.PutVarint(uint64_t{1} << 60);
+  enc.PutU64(7);
+  Decoder dec(buf);
+  Value out;
+  EXPECT_EQ(Value::DecodeFrom(&dec, &out).code(), StatusCode::kCorruption);
+  Decoder walk(buf);
+  std::optional<Oid> oid;
+  EXPECT_EQ(Value::DecodeOid(&walk, &oid).code(), StatusCode::kCorruption);
 }
 
 TEST(ValueTest, ToStringFormats) {
