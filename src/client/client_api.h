@@ -1,9 +1,10 @@
 // Backend-neutral client interfaces.
 //
 // ClientApi is the surface an interactive application programs against: the
-// transactional/query operations of DatabaseClient plus the client-local
-// runtime pieces (cache, inbox, virtual clock) that the display layer
-// (DLC, ActiveView) needs. Two implementations exist:
+// transactional/query operations plus the client-local runtime pieces
+// (cache, inbox, virtual clock) that the display layer (DLC, ActiveView)
+// needs. CachingClient implements it, with the §3.3 cache protocol, over
+// two backends that supply only the server calls:
 //   - DatabaseClient        — direct in-process calls, metered virtual cost
 //   - RemoteDatabaseClient  — the same operations over the TCP wire protocol
 // Application code written against ClientApi runs unchanged over either.
@@ -15,10 +16,14 @@
 
 #pragma once
 
+#include <mutex>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "client/object_cache.h"
 #include "common/cost_model.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/vtime.h"
 #include "net/inbox.h"
@@ -102,6 +107,71 @@ class ClientApi {
   /// (RunTransaction) use it as a backoff floor. In-process backends never
   /// shed, so the default stays 0.
   virtual int64_t retry_after_hint_ms() const { return 0; }
+};
+
+/// The client half of the paper's cache consistency (§3.3), written once
+/// for both backends. It owns the client DB cache, the inbox, the virtual
+/// clock, the RPC and validation-abort counters and the detection read
+/// sets. A backend supplies the seven private server calls, each exactly
+/// one counted RPC; these members outlive its destructor, which first
+/// stops everything (server registration, reader thread) that touches them.
+class CachingClient : public ClientApi {
+ public:
+  VirtualClock& clock() override { return clock_; }
+  Inbox& inbox() override { return inbox_; }
+  ObjectCache& cache() override { return cache_; }
+  ConsistencyMode consistency() const override { return consistency_; }
+  uint64_t rpcs_issued() const override { return rpcs_.Get(); }
+  uint64_t validation_aborts() const override { return validation_aborts_.Get(); }
+
+  /// Transactional read. Avoidance: a hit takes the S lock with a
+  /// lock-only round trip, a miss fetches under it. Detection: a hit is
+  /// free, a miss fetches untracked, and both are validated at commit.
+  Result<DatabaseObject> Read(TxnId txn, Oid oid) final;
+  /// Degree-0 read of the latest committed image (display building): free
+  /// on a hit; a fetched copy is registered for callbacks in avoidance.
+  Result<DatabaseObject> ReadCurrent(Oid oid) final;
+  Result<CommitResult> Commit(TxnId txn) final;
+  Status Abort(TxnId txn) final;
+  /// Degree-0 scan and server-side predicate query; results enter the cache.
+  Result<std::vector<DatabaseObject>> ScanClass(
+      ClassId cls, bool include_subclasses = false) final;
+  Result<std::vector<DatabaseObject>> RunQuery(const ObjectQuery& query) final;
+
+ protected:
+  using ReadSet = std::vector<std::pair<Oid, uint64_t>>;
+
+  CachingClient(ConsistencyMode consistency, ObjectCacheOptions cache,
+                InboxOptions inbox = {});
+  /// Forgets every open transaction's read set (a reconnect ends them).
+  void ForgetReadSets();
+
+  ObjectCache cache_;
+  Inbox inbox_;
+  VirtualClock clock_;
+  Counter rpcs_;
+
+ private:
+  virtual Status LockForReadCall(TxnId txn, Oid oid) = 0;
+  virtual Result<DatabaseObject> FetchCall(TxnId txn, Oid oid) = 0;
+  virtual Result<DatabaseObject> FetchCurrentCall(Oid oid,
+                                                  bool register_copy) = 0;
+  /// `read_set` is null in avoidance; in detection the server validates it.
+  virtual Result<CommitResult> CommitCall(TxnId txn,
+                                          const ReadSet* read_set) = 0;
+  virtual Status AbortCall(TxnId txn) = 0;
+  virtual Result<std::vector<DatabaseObject>> ScanCall(
+      ClassId cls, bool include_subclasses) = 0;
+  virtual Result<std::vector<DatabaseObject>> QueryCall(
+      const ObjectQuery& query) = 0;
+
+  bool detection() const { return consistency_ == ConsistencyMode::kDetection; }
+  void RecordRead(TxnId txn, const DatabaseObject& obj);
+
+  const ConsistencyMode consistency_;
+  Counter validation_aborts_;
+  std::mutex read_sets_mu_;
+  std::unordered_map<TxnId, ReadSet> read_sets_;
 };
 
 /// The DLM request surface as seen from a client (paper §4.1: lock/unlock

@@ -1,22 +1,16 @@
-// Client runtime: the application-facing handle to the database.
+// In-process backend of the client runtime: the application-facing handle
+// to a DatabaseServer in the same process.
 //
-// Owns the client database cache (second level of the paper's memory
-// hierarchy), a virtual clock for the GUI/user thread, and an inbox for
-// asynchronous notifications (the Display Lock Client in src/core pumps
-// it). Every server interaction charges calibrated virtual latency through
-// the shared RpcMeter; cache hits cost nothing — the avoidance-based
-// protocol guarantees cached copies are valid.
+// CachingClient owns the client database cache (second level of the
+// paper's memory hierarchy), the virtual clock of the GUI/user thread, the
+// notification inbox (the Display Lock Client in src/core pumps it) and the
+// cache-consistency protocol. This class supplies its server calls as
+// direct DatabaseServer calls, each charged calibrated virtual latency
+// through the shared RpcMeter (Metered); cache hits cost nothing.
 
 #pragma once
 
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
-
 #include "client/client_api.h"
-#include "client/object_cache.h"
-#include "net/inbox.h"
 #include "net/notification_bus.h"
 #include "net/rpc_meter.h"
 #include "server/database_server.h"
@@ -38,7 +32,7 @@ struct DatabaseClientOptions {
 /// One per application process. Thread-compatible: the application drives
 /// it from its user thread; the notification pump may concurrently touch
 /// the cache (which is internally synchronized).
-class DatabaseClient : public ClientApi {
+class DatabaseClient : public CachingClient {
  public:
   DatabaseClient(DatabaseServer* server, ClientId id, RpcMeter* meter,
                  NotificationBus* bus, DatabaseClientOptions opts = {});
@@ -48,9 +42,6 @@ class DatabaseClient : public ClientApi {
   DatabaseClient& operator=(const DatabaseClient&) = delete;
 
   ClientId id() const override { return id_; }
-  VirtualClock& clock() override { return clock_; }
-  Inbox& inbox() override { return inbox_; }
-  ObjectCache& cache() override { return cache_; }
   DatabaseServer& server() { return *server_; }
   const SchemaCatalog& schema() const override { return server_->schema(); }
   const CostModel& cost_model() const override { return meter_->cost_model(); }
@@ -68,26 +59,9 @@ class DatabaseClient : public ClientApi {
 
   // --- Transactions ----------------------------------------------------
   Result<TxnId> BeginTxn() override;
-
-  /// Transactional read (S lock at the server on a miss; free on a hit).
-  Result<DatabaseObject> Read(TxnId txn, Oid oid) override;
-
-  /// Degree-0 read of the latest committed image (display building).
-  Result<DatabaseObject> ReadCurrent(Oid oid) override;
-
   Status Write(TxnId txn, DatabaseObject obj) override;
   Status Insert(TxnId txn, DatabaseObject obj) override;
   Status EraseObject(TxnId txn, Oid oid) override;
-
-  Result<CommitResult> Commit(TxnId txn) override;
-  Status Abort(TxnId txn) override;
-
-  /// Degree-0 scan used to populate displays.
-  Result<std::vector<DatabaseObject>> ScanClass(
-      ClassId cls, bool include_subclasses = false) override;
-
-  /// Degree-0 server-side predicate query; matches enter the cache.
-  Result<std::vector<DatabaseObject>> RunQuery(const ObjectQuery& query) override;
 
   Result<Oid> NewOid() override { return server_->AllocateOid(); }
 
@@ -95,29 +69,26 @@ class DatabaseClient : public ClientApi {
     return server_->heap().ReadVersion(oid);
   }
 
-  uint64_t rpcs_issued() const override { return rpcs_.Get(); }
-  ConsistencyMode consistency() const override { return opts_.consistency; }
-  /// Validation aborts suffered (detection mode only).
-  uint64_t validation_aborts() const override { return validation_aborts_.Get(); }
-
  private:
-  void PreObserve();
-  void Charge(const ServerCallInfo& info);
-  void RecordRead(TxnId txn, const DatabaseObject& obj);
+  /// Runs `call(&info)` as one metered RPC: the request's arrival enters
+  /// the server clock before the call, the round trip is charged after.
+  template <typename Call>
+  auto Metered(Call call);
+
+  Status LockForReadCall(TxnId txn, Oid oid) override;
+  Result<DatabaseObject> FetchCall(TxnId txn, Oid oid) override;
+  Result<DatabaseObject> FetchCurrentCall(Oid oid, bool register_copy) override;
+  Result<CommitResult> CommitCall(TxnId txn, const ReadSet* read_set) override;
+  Status AbortCall(TxnId txn) override;
+  Result<std::vector<DatabaseObject>> ScanCall(
+      ClassId cls, bool include_subclasses) override;
+  Result<std::vector<DatabaseObject>> QueryCall(
+      const ObjectQuery& query) override;
 
   DatabaseServer* server_;
   ClientId id_;
   RpcMeter* meter_;
   NotificationBus* bus_;
-  DatabaseClientOptions opts_;
-  ObjectCache cache_;
-  Inbox inbox_;
-  VirtualClock clock_;
-  Counter rpcs_;
-  Counter validation_aborts_;
-  // Detection mode: optimistic read sets per open transaction.
-  std::mutex read_sets_mu_;
-  std::unordered_map<TxnId, std::vector<std::pair<Oid, uint64_t>>> read_sets_;
 };
 
 }  // namespace idba

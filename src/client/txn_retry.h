@@ -8,9 +8,8 @@
 // commit may or may not have applied. Retrying an Unknown outcome is safe
 // *because* the body is a read-modify-write run in a fresh transaction: it
 // re-reads current state (which reflects the first commit iff it applied)
-// and re-derives its writes, exactly like a user pressing "retry". Bodies
-// that blindly re-send absolute effects without reading (rare here) should
-// set retry_unknown = false and surface the outcome to the user.
+// and re-derives its writes, exactly like a user pressing "retry". So an
+// Unknown outcome is always retried, and a body must re-read what it writes.
 
 #pragma once
 
@@ -27,10 +26,6 @@ namespace idba {
 
 struct TxnRetryOptions {
   int max_attempts = 10;
-  /// Also retry commits whose outcome is Unknown (connection lost with the
-  /// commit in flight). See the header comment for why this is safe for
-  /// read-modify-write bodies.
-  bool retry_unknown = true;
   /// Invoked before retrying after a transport-flavored failure (Unknown
   /// outcome or IOError) — e.g. RemoteDatabaseClient::Reconnect. Without
   /// it, IOError is terminal (an Unknown outcome still retries, in case
@@ -69,10 +64,10 @@ struct TxnRetryResult {
 };
 
 /// Runs `body(client, txn)` in a fresh transaction, committing afterwards.
-/// On Deadlock / Aborted / TimedOut / Busy — or Unknown when
-/// opts.retry_unknown — from the begin, the body, or the commit, aborts
-/// (if still active) and retries up to `max_attempts`. Any other error
-/// aborts and returns immediately.
+/// On Deadlock / Aborted / TimedOut / Busy / Overloaded / Unknown (and
+/// IOError when opts.recover is set) from the begin, the body, or the
+/// commit, aborts (if still active) and retries up to `max_attempts`. Any
+/// other error aborts and returns immediately.
 inline TxnRetryResult RunTransaction(
     ClientApi* client,
     const std::function<Status(ClientApi&, TxnId)>& body,
@@ -105,9 +100,8 @@ inline TxnRetryResult RunTransaction(
         st.IsUnknown() || st.code() == StatusCode::kIOError;
     const bool retryable =
         st.IsDeadlock() || st.IsAborted() || st.IsTimedOut() || st.IsBusy() ||
-        st.IsOverloaded() || (st.IsUnknown() && opts.retry_unknown) ||
-        (transport_failure && opts.recover != nullptr &&
-         (!st.IsUnknown() || opts.retry_unknown));
+        st.IsOverloaded() || st.IsUnknown() ||
+        (transport_failure && opts.recover != nullptr);
     if (!retryable) {
       result.status = st;
       return result;

@@ -41,7 +41,7 @@ uint64_t EmitSpan(uint64_t trace_id, uint64_t parent, const char* name,
 }  // namespace
 
 RemoteDatabaseClient::RemoteDatabaseClient(ClientId id, RemoteClientOptions opts)
-    : id_(id), opts_(opts), cache_(opts.cache) {}
+    : CachingClient(opts.consistency, opts.cache), id_(id), opts_(opts) {}
 
 Result<std::unique_ptr<RemoteDatabaseClient>> RemoteDatabaseClient::Connect(
     const std::string& host, uint16_t port, ClientId id,
@@ -106,10 +106,7 @@ Status RemoteDatabaseClient::Reconnect(int max_attempts) {
   // new session never registered them, so no NoteEvicted).
   cache_.set_eviction_callback(EvictionCallback());
   cache_.Clear();
-  {
-    std::lock_guard<std::mutex> lock(read_sets_mu_);
-    read_sets_.clear();
-  }
+  ForgetReadSets();
   int64_t backoff = kReconnectBackoffMs;
   // Deterministic per client and per reconnect episode, so tests replay
   // exactly while distinct clients still spread their re-dials.
@@ -341,6 +338,19 @@ Status RemoteDatabaseClient::Call(wire::Method method,
              t_decoded - t_response);
   }
   return remote;
+}
+
+template <typename T>
+Result<T> RemoteDatabaseClient::CallFor(wire::Method method,
+                                        const std::vector<uint8_t>& body,
+                                        Status (*decode)(Decoder*, T*)) {
+  std::vector<uint8_t> reply;
+  size_t at = 0;
+  IDBA_RETURN_NOT_OK(Call(method, body, &reply, &at));
+  Decoder dec(reply.data() + at, reply.size() - at);
+  T out;
+  IDBA_RETURN_NOT_OK(decode(&dec, &out));
+  return out;
 }
 
 void RemoteDatabaseClient::SendOneWay(wire::Method method,
@@ -582,70 +592,6 @@ Result<TxnId> RemoteDatabaseClient::BeginTxn() {
   return txn;
 }
 
-void RemoteDatabaseClient::RecordRead(TxnId txn, const DatabaseObject& obj) {
-  std::lock_guard<std::mutex> lock(read_sets_mu_);
-  read_sets_[txn].emplace_back(obj.oid(), obj.version());
-}
-
-Result<DatabaseObject> RemoteDatabaseClient::Read(TxnId txn, Oid oid) {
-  if (auto cached = cache_.Get(oid)) {
-    if (opts_.consistency == ConsistencyMode::kDetection) {
-      RecordRead(txn, *cached);
-      return *cached;
-    }
-    // Avoidance: valid copy, but an update transaction needs the S lock —
-    // lock-only round trip, then re-check (the copy may have been called
-    // back while we waited; with S held a present copy is current).
-    std::vector<uint8_t> body;
-    Encoder enc(&body);
-    enc.PutU64(txn);
-    enc.PutU64(oid.value);
-    std::vector<uint8_t> reply;
-    size_t at = 0;
-    IDBA_RETURN_NOT_OK(
-        Call(wire::Method::kLockForRead, body, &reply, &at));
-    if (auto still = cache_.Get(oid)) return *still;
-  }
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  wire::Method method;
-  if (opts_.consistency == ConsistencyMode::kDetection) {
-    // Optimistic read: no S lock, copy untracked by the server.
-    method = wire::Method::kFetchCurrent;
-    enc.PutU64(oid.value);
-    enc.PutU8(0);
-  } else {
-    method = wire::Method::kFetch;
-    enc.PutU64(txn);
-    enc.PutU64(oid.value);
-  }
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(method, body, &reply, &at));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  DatabaseObject obj;
-  IDBA_RETURN_NOT_OK(DatabaseObject::DecodeFrom(&dec, &obj));
-  if (opts_.consistency == ConsistencyMode::kDetection) RecordRead(txn, obj);
-  cache_.Put(obj);
-  return obj;
-}
-
-Result<DatabaseObject> RemoteDatabaseClient::ReadCurrent(Oid oid) {
-  if (auto cached = cache_.Get(oid)) return *cached;
-  std::vector<uint8_t> body;
-  Encoder enc(&body);
-  enc.PutU64(oid.value);
-  enc.PutU8(opts_.consistency == ConsistencyMode::kAvoidance ? 1 : 0);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(wire::Method::kFetchCurrent, body, &reply, &at));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  DatabaseObject obj;
-  IDBA_RETURN_NOT_OK(DatabaseObject::DecodeFrom(&dec, &obj));
-  cache_.Put(obj);
-  return obj;
-}
-
 Status RemoteDatabaseClient::Write(TxnId txn, DatabaseObject obj) {
   std::vector<uint8_t> body;
   Encoder enc(&body);
@@ -676,51 +622,46 @@ Status RemoteDatabaseClient::EraseObject(TxnId txn, Oid oid) {
   return Call(wire::Method::kErase, body, &reply, &at);
 }
 
-Result<CommitResult> RemoteDatabaseClient::Commit(TxnId txn) {
+Status RemoteDatabaseClient::LockForReadCall(TxnId txn, Oid oid) {
   std::vector<uint8_t> body;
   Encoder enc(&body);
   enc.PutU64(txn);
-  wire::Method method = wire::Method::kCommit;
-  std::vector<std::pair<Oid, uint64_t>> read_set;
-  if (opts_.consistency == ConsistencyMode::kDetection) {
-    {
-      std::lock_guard<std::mutex> lock(read_sets_mu_);
-      auto it = read_sets_.find(txn);
-      if (it != read_sets_.end()) {
-        read_set = std::move(it->second);
-        read_sets_.erase(it);
-      }
-    }
-    wire::EncodeReadSet(read_set, &enc);
-    method = wire::Method::kCommitValidated;
-  }
+  enc.PutU64(oid.value);
   std::vector<uint8_t> reply;
   size_t at = 0;
-  Status st = Call(method, body, &reply, &at);
-  if (!st.ok()) {
-    if (st.IsAborted() && method == wire::Method::kCommitValidated) {
-      validation_aborts_.Add();
-      // Our optimistic copies proved stale; drop them so a retry
-      // re-fetches current images.
-      for (const auto& [oid, version] : read_set) cache_.Drop(oid);
-    }
-    return st;
-  }
-  Decoder dec(reply.data() + at, reply.size() - at);
-  CommitResult result;
-  IDBA_RETURN_NOT_OK(wire::DecodeCommitResult(&dec, &result));
-  for (const DatabaseObject& obj : result.updated) {
-    if (cache_.Contains(obj.oid())) cache_.Put(obj);
-  }
-  for (Oid oid : result.erased) cache_.Drop(oid);
-  return result;
+  return Call(wire::Method::kLockForRead, body, &reply, &at);
 }
 
-Status RemoteDatabaseClient::Abort(TxnId txn) {
-  {
-    std::lock_guard<std::mutex> lock(read_sets_mu_);
-    read_sets_.erase(txn);
-  }
+Result<DatabaseObject> RemoteDatabaseClient::FetchCall(TxnId txn, Oid oid) {
+  std::vector<uint8_t> body;
+  Encoder enc(&body);
+  enc.PutU64(txn);
+  enc.PutU64(oid.value);
+  return CallFor(wire::Method::kFetch, body, &DatabaseObject::DecodeFrom);
+}
+
+Result<DatabaseObject> RemoteDatabaseClient::FetchCurrentCall(
+    Oid oid, bool register_copy) {
+  std::vector<uint8_t> body;
+  Encoder enc(&body);
+  enc.PutU64(oid.value);
+  enc.PutU8(register_copy ? 1 : 0);
+  return CallFor(wire::Method::kFetchCurrent, body,
+                 &DatabaseObject::DecodeFrom);
+}
+
+Result<CommitResult> RemoteDatabaseClient::CommitCall(TxnId txn,
+                                                      const ReadSet* read_set) {
+  std::vector<uint8_t> body;
+  Encoder enc(&body);
+  enc.PutU64(txn);
+  if (read_set != nullptr) wire::EncodeReadSet(*read_set, &enc);
+  return CallFor(read_set != nullptr ? wire::Method::kCommitValidated
+                                     : wire::Method::kCommit,
+                 body, &wire::DecodeCommitResult);
+}
+
+Status RemoteDatabaseClient::AbortCall(TxnId txn) {
   std::vector<uint8_t> body;
   Encoder enc(&body);
   enc.PutU64(txn);
@@ -729,35 +670,21 @@ Status RemoteDatabaseClient::Abort(TxnId txn) {
   return Call(wire::Method::kAbort, body, &reply, &at);
 }
 
-Result<std::vector<DatabaseObject>> RemoteDatabaseClient::ScanClass(
+Result<std::vector<DatabaseObject>> RemoteDatabaseClient::ScanCall(
     ClassId cls, bool include_subclasses) {
   std::vector<uint8_t> body;
   Encoder enc(&body);
   enc.PutU32(cls);
   enc.PutU8(include_subclasses ? 1 : 0);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(wire::Method::kScanClass, body, &reply, &at));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  std::vector<DatabaseObject> objs;
-  IDBA_RETURN_NOT_OK(wire::DecodeObjectVector(&dec, &objs));
-  cache_.PutAll(objs);
-  return objs;
+  return CallFor(wire::Method::kScanClass, body, &wire::DecodeObjectVector);
 }
 
-Result<std::vector<DatabaseObject>> RemoteDatabaseClient::RunQuery(
+Result<std::vector<DatabaseObject>> RemoteDatabaseClient::QueryCall(
     const ObjectQuery& query) {
   std::vector<uint8_t> body;
   Encoder enc(&body);
   query.EncodeTo(&enc);
-  std::vector<uint8_t> reply;
-  size_t at = 0;
-  IDBA_RETURN_NOT_OK(Call(wire::Method::kQuery, body, &reply, &at));
-  Decoder dec(reply.data() + at, reply.size() - at);
-  std::vector<DatabaseObject> objs;
-  IDBA_RETURN_NOT_OK(wire::DecodeObjectVector(&dec, &objs));
-  cache_.PutAll(objs);
-  return objs;
+  return CallFor(wire::Method::kQuery, body, &wire::DecodeObjectVector);
 }
 
 Result<Oid> RemoteDatabaseClient::NewOid() {

@@ -30,12 +30,10 @@
 //
 // Virtual time: each request carries the client clock; each response
 // carries the virtual completion time the server's RpcMeter computed from
-// the *measured* frame sizes, which the client clock Observes. Locally
-// the client mirrors DatabaseClient exactly: avoidance cache hits inside
-// update transactions still take the lock-only round trip, detection mode
-// keeps optimistic read sets and validates at commit. Client-local virtual
-// charges use the default CostModel, the only one idba_serve runs, so the
-// client and server timelines agree.
+// the *measured* frame sizes, which the client clock Observes. Client-local
+// virtual charges use the default CostModel, the only one idba_serve runs,
+// so the client and server timelines agree. The cache protocol (§3.3) is
+// CachingClient's; this class sends its server calls as wire frames.
 
 #pragma once
 
@@ -70,7 +68,7 @@ struct RemoteClientOptions {
   int64_t heartbeat_interval_ms = 0;
 };
 
-class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
+class RemoteDatabaseClient : public CachingClient, public DisplayLockService {
  public:
   /// Connects, performs the Hello handshake (registering `id` with the
   /// server) and snapshots the schema catalog.
@@ -110,12 +108,8 @@ class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
 
   // --- ClientApi --------------------------------------------------------
   ClientId id() const override { return id_; }
-  VirtualClock& clock() override { return clock_; }
-  Inbox& inbox() override { return inbox_; }
-  ObjectCache& cache() override { return cache_; }
   const SchemaCatalog& schema() const override { return schema_; }
   const CostModel& cost_model() const override { return cost_model_; }
-  ConsistencyMode consistency() const override { return opts_.consistency; }
 
   Result<ClassId> DefineClass(const std::string& name,
                               ClassId base = 0) override;
@@ -123,23 +117,11 @@ class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
                       Value default_value = Value()) override;
 
   Result<TxnId> BeginTxn() override;
-  Result<DatabaseObject> Read(TxnId txn, Oid oid) override;
-  Result<DatabaseObject> ReadCurrent(Oid oid) override;
   Status Write(TxnId txn, DatabaseObject obj) override;
   Status Insert(TxnId txn, DatabaseObject obj) override;
   Status EraseObject(TxnId txn, Oid oid) override;
-  Result<CommitResult> Commit(TxnId txn) override;
-  Status Abort(TxnId txn) override;
-  Result<std::vector<DatabaseObject>> ScanClass(
-      ClassId cls, bool include_subclasses = false) override;
-  Result<std::vector<DatabaseObject>> RunQuery(
-      const ObjectQuery& query) override;
   Result<Oid> NewOid() override;
   Result<uint64_t> LatestVersion(Oid oid) override;
-  uint64_t rpcs_issued() const override { return rpcs_.Get(); }
-  uint64_t validation_aborts() const override {
-    return validation_aborts_.Get();
-  }
   /// Retry-after hint from the most recent Overloaded rejection (0 when
   /// the server never shed one of our requests). Retry loops use it as a
   /// backoff floor.
@@ -196,6 +178,10 @@ class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
   Status Call(wire::Method method, const std::vector<uint8_t>& body,
               std::vector<uint8_t>* reply, size_t* body_at,
               bool count_rpc = true);
+  /// One counted Call whose reply body `decode` turns into a T.
+  template <typename T>
+  Result<T> CallFor(wire::Method method, const std::vector<uint8_t>& body,
+                    Status (*decode)(Decoder*, T*));
   /// Fire-and-forget frame (eviction notices).
   void SendOneWay(wire::Method method, const std::vector<uint8_t>& body);
   Status Hello();
@@ -205,8 +191,18 @@ class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
   void ReaderLoop();
   void HeartbeatLoop();
   void FailAllPending(const Status& st);
-  void RecordRead(TxnId txn, const DatabaseObject& obj);
   void InstallEvictionCallback();
+
+  // CachingClient's server calls.
+  Status LockForReadCall(TxnId txn, Oid oid) override;
+  Result<DatabaseObject> FetchCall(TxnId txn, Oid oid) override;
+  Result<DatabaseObject> FetchCurrentCall(Oid oid, bool register_copy) override;
+  Result<CommitResult> CommitCall(TxnId txn, const ReadSet* read_set) override;
+  Status AbortCall(TxnId txn) override;
+  Result<std::vector<DatabaseObject>> ScanCall(
+      ClassId cls, bool include_subclasses) override;
+  Result<std::vector<DatabaseObject>> QueryCall(
+      const ObjectQuery& query) override;
 
   ClientId id_;
   RemoteClientOptions opts_;
@@ -233,18 +229,11 @@ class RemoteDatabaseClient : public ClientApi, public DisplayLockService {
   std::condition_variable hb_cv_;
 
   SchemaCatalog schema_;
-  ObjectCache cache_;
-  Inbox inbox_;
-  VirtualClock clock_;
-  Counter rpcs_, validation_aborts_;
   MirroredCounter bytes_in_, bytes_out_;
   Counter notify_frames_, callback_frames_;
   Counter reconnects_, heartbeats_;
   Counter overload_rejections_, resyncs_received_;
   std::atomic<int64_t> retry_after_hint_ms_{0};
-
-  std::mutex read_sets_mu_;
-  std::unordered_map<TxnId, std::vector<std::pair<Oid, uint64_t>>> read_sets_;
 
   /// Display locks successfully granted to this client and not yet
   /// released — the server-side state Reconnect() must rebuild after a

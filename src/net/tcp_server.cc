@@ -1005,7 +1005,7 @@ Status TransportServer::ExecuteMethod(Connection* conn, wire::Method method,
   }
   const ClientId cid = conn->client_id.load(std::memory_order_relaxed);
   // Metered calls push the request's arrival into the server clock before
-  // the call executes (mirrors DatabaseClient::PreObserve), so commit hooks
+  // the call executes (mirrors DatabaseClient::Metered), so commit hooks
   // observe a causally correct virtual time.
   auto observe = [&] {
     *metered = true;

@@ -86,7 +86,7 @@ class DatabaseServer {
   /// Lock-only round trip: grants the transaction an S lock so a cached
   /// copy may be used inside an update transaction (no data travels).
   /// Lock caching is not implemented, so this costs a (small) message —
-  /// see DatabaseClient::Read.
+  /// see CachingClient::Read.
   Status LockForRead(ClientId client, TxnId txn, Oid oid, ServerCallInfo* info);
 
   /// Fetches the current committed image without transactional locking
